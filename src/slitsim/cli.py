@@ -140,12 +140,10 @@ def cmd_sweep_tau(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def cmd_trace(cfg: ExperimentConfig, n_trajectories: int, record: bool = True) -> Path:
+def cmd_trace(cfg: ExperimentConfig, n_trajectories: int) -> Path:
     """Record a swept-angle bundle of trajectories as CSV and SVG."""
     if n_trajectories < 1:
         raise ConfigurationError("trace needs at least one trajectory")
-    if not record:
-        raise ConfigurationError("trace requires recording")
     out = Path(cfg.output_dir)
     t0 = time.perf_counter()
     emission = build_emission(cfg, n=n_trajectories, mode="sweep")
@@ -273,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="record and draw trajectories")
     _add_run_flags(p)
-    p.add_argument("--no-record", action="store_true",
-                   help="disable path recording (always an error; trace needs paths)")
 
     p = sub.add_parser("analyze", help="find extrema in a distribution.csv")
     p.add_argument("csv", metavar="CSV", help="distribution file to analyze")
@@ -294,8 +290,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_sweep_tau(_load_config(args))
         elif args.command == "trace":
             cfg = _load_config(args)
-            cmd_trace(cfg, n_trajectories=args.n if args.n else 250,
-                      record=not args.no_record)
+            cmd_trace(cfg, n_trajectories=args.n if args.n else 250)
         elif args.command == "analyze":
             cmd_analyze(Path(args.csv), args.window, args.k_sigma,
                         Path(args.out) if args.out else None)

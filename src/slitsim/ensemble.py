@@ -12,8 +12,9 @@ mechanisms guarantee this:
     histograms is order-independent.
 
 The hot loop advances whole chunks as numpy arrays and retires finished
-trajectories as it goes; the last few survivors of a chunk are finished
-with a scalar loop, which is faster than sub-SIMD-width array work.
+trajectories as it goes, down to the last survivor.  Every operation is
+elementwise, so a trajectory's result does not depend on which batch it
+was simulated in or how large that batch was.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ import numpy as np
 
 from .dynamics import StepParams
 from .errors import EmptyHistogramError, SpecMismatchError
-from .field import FieldParams, force_batch, _force_scalar
-from .scattering import Geometry, check_consistent, _segment_event
+from .field import FieldParams, force_batch
+from .scattering import Geometry, check_consistent
 
 CHUNK_SIZE = 16384
-_SCALAR_CUTOFF = 48
 
 _BLOCKED, _DETECTED, _ESCAPED, _STEPLIMIT = 1, 2, 3, 4
 
@@ -177,27 +177,6 @@ def emission_angles(e: EmissionSpec, lo: int, hi: int) -> np.ndarray:
     return e.alpha_min + idx * (span / (e.n - 1))
 
 
-def _finish_scalar(x: float, y: float, vx: float, vy: float, budget: int,
-                   qs: float, R: float, aperture: float, d: float,
-                   y_bound: float, x_escape: float, k: float,
-                   tau: float) -> tuple[int, float, int]:
-    """Run one in-flight trajectory to termination; mirrors the array kernel."""
-    for step in range(1, budget + 1):
-        fx, fy = _force_scalar(x, y, qs, R)
-        vx += k * fx
-        vy += k * fy
-        xn = x + tau * vx
-        yn = y + tau * vy
-        ev = _segment_event(x, y, xn, yn, aperture, d)
-        if ev is not None:
-            kind, yc, _ = ev
-            return (_BLOCKED if kind == "blocked" else _DETECTED, yc, step)
-        if abs(yn) > y_bound or xn < x_escape:
-            return (_ESCAPED, math.nan, step)
-        x, y = xn, yn
-    return (_STEPLIMIT, math.nan, budget)
-
-
 def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
                    sp: StepParams) -> tuple[np.ndarray, np.ndarray]:
     """Advance one batch of trajectories to termination.
@@ -218,9 +197,6 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     d = g.screen_gap
     y_bound = g.y_bound
     x_escape = g.x_escape
-    qs = f.charge_product
-    two_qs = 2.0 * qs
-    R = f.slit_half_height
     tau = sp.tau
     k = tau / sp.mass
 
@@ -233,51 +209,15 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     n_alive = n
     n_dead = 0
 
-    scratch = np.empty((8, n))
+    scratch = np.empty((7, n))
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        for step in range(1, g.max_steps + 1):
+        for _ in range(g.max_steps):
             if n_alive == 0:
                 return codes, y_final
-            if n_alive <= _SCALAR_CUTOFF:
-                budget = g.max_steps - step + 1
-                for j in np.flatnonzero(alive):
-                    code, yc_j, _ = _finish_scalar(
-                        x[j], y[j], vx[j], vy[j], budget, qs, R, aperture, d,
-                        y_bound, x_escape, k, tau)
-                    codes[idx[j]] = code
-                    y_final[idx[j]] = yc_j
-                return codes, y_final
-
             m = idx.size
-            ay, d1, d2, t1, t2, t3, xv, yv = scratch[:, :m]
-
-            # closed-form force, |x|/|y| canonicalized so mirror symmetry
-            # is exact (kept in sync with field.force_batch)
-            np.abs(y, out=ay)
-            np.subtract(ay, R, out=d1)
-            np.add(ay, R, out=d2)
-            np.abs(x, out=t1)
-            np.divide(1.0, t1, out=t1)
-            np.multiply(d1, t1, out=t2)
-            np.arctan(t2, out=t2)
-            np.multiply(d2, t1, out=t1)
-            np.arctan(t1, out=t1)
-            np.subtract(t2, t1, out=t1)
-            np.add(t1, np.pi, out=t1)
-            np.multiply(t1, two_qs, out=t1)
-            np.negative(t1, out=t2)
-            np.copyto(t1, t2, where=x < 0.0)            # t1 = F_x
-            np.multiply(x, x, out=t2)
-            np.multiply(d1, d1, out=d1)
-            np.add(d1, t2, out=d1)
-            np.multiply(d2, d2, out=d2)
-            np.add(d2, t2, out=d2)
-            np.divide(d1, d2, out=d1)
-            np.log(d1, out=d1)
-            np.multiply(d1, qs, out=d1)
-            np.negative(d1, out=d2)
-            np.copyto(d1, d2, where=y < 0.0)            # d1 = F_y
+            t1, d1, t2, d2, t3, xv, yv = scratch[:, :m]
+            force_batch(x, y, f, out=(t1, d1, t2, d2))  # t1 = F_x, d1 = F_y
 
             # velocity-first update into the position scratch xv, yv
             np.multiply(t1, k, out=t1)

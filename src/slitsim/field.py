@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ScreenSurfaceError, ToleranceNotMetError
 
@@ -126,32 +125,52 @@ def force_closed_form(p: Vec2, params: FieldParams) -> Vec2:
     return Vec2(fx, fy)
 
 
-def force_batch(x: np.ndarray, y: np.ndarray, params: FieldParams) -> tuple[np.ndarray, np.ndarray]:
+def force_batch(x: np.ndarray, y: np.ndarray, params: FieldParams,
+                out=None) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized closed-form force for trajectory ensembles.
 
     Same even/odd canonicalization as the scalar path, so mirror
     symmetry is exact elementwise.  Points on the screen surface are the
     caller's responsibility; they never occur in the stepping loop
     because blocking happens before the force is evaluated there.
+
+    out: optional four float arrays shaped like x, used as scratch; the
+    returned (F_x, F_y) are the first two.  Without it they are allocated.
     """
     qs = params.charge_product
     R = params.slit_half_height
-    ax = np.abs(x)
-    ay = np.abs(y)
-    d1 = ay - R
-    d2 = ay + R
+    fx, fy, d1, d2 = np.empty((4,) + np.shape(x)) if out is None else out
+    np.abs(y, out=fy)
+    np.subtract(fy, R, out=d1)
+    np.add(fy, R, out=d2)
+    np.abs(x, out=fx)
     with np.errstate(divide="ignore"):
-        inv = 1.0 / ax
-    fxm = ((np.arctan(d1 * inv) - np.arctan(d2 * inv)) + np.pi) * (2.0 * qs)
-    fx = np.where(x < 0.0, -fxm, fxm)
-    x2 = x * x
-    g = qs * np.log((d1 * d1 + x2) / (d2 * d2 + x2))
-    fy = np.where(y < 0.0, -g, g)
+        np.divide(1.0, fx, out=fx)
+    np.multiply(d1, fx, out=fy)
+    np.arctan(fy, out=fy)
+    np.multiply(d2, fx, out=fx)
+    np.arctan(fx, out=fx)
+    np.subtract(fy, fx, out=fx)
+    np.add(fx, np.pi, out=fx)                   # |F_x| / (2|qs|), in [0, pi]
+    np.copysign(fx, x, out=fx)
+    np.multiply(fx, 2.0 * qs, out=fx)
+    np.multiply(x, x, out=fy)
+    np.multiply(d1, d1, out=d1)
+    np.add(d1, fy, out=d1)
+    np.multiply(d2, d2, out=d2)
+    np.add(d2, fy, out=d2)
+    np.divide(d1, d2, out=d1)
+    np.log(d1, out=d1)
+    np.negative(d1, out=d1)                     # |F_y| / |qs|, >= 0
+    np.copysign(d1, y, out=fy)
+    np.multiply(fy, -qs, out=fy)
     return fx, fy
 
 
 def _quad_checked(fun, a: float, b: float, spec: QuadratureSpec) -> float:
     """scipy.integrate.quad within the QuadratureSpec budget, or ToleranceNotMetError."""
+    from scipy.integrate import quad  # slow to import; only the oracle needs it
+
     result = quad(fun, a, b, epsabs=spec.abs_tol / 8.0, epsrel=1e-12,
                   limit=spec.max_subdivisions, full_output=1)
     if len(result) > 3:

@@ -9,7 +9,7 @@ potential rise to the detector plane is 104.76, so the classical turning
 point sits at x = 20.75 and arrivals require v0 >= 13.86.  Direct
 simulation confirms zero detections in 10^6 trajectories at tau = 0.05.
 Those three tests are implemented exactly as stated and fail honestly;
-see notes/decisions.md at the repository root for the full analysis.
+see "Physics notes" in README.md for the full analysis.
 """
 
 import math
@@ -128,7 +128,7 @@ def test_criterion_3_fringe_emergence():
     ok = n_max >= 3
     report(3, ok, f"detected {hist.n_detected}/1000000, {n_max} significant "
                   f"maxima (need >=3), wall {wall:.0f}s (target <120s on 4 cores); "
-                  f"arrivals require v0 >= 13.86, see notes/decisions.md")
+                  f"arrivals require v0 >= 13.86, see README.md \"Physics notes\"")
     assert wall < 600.0
     assert n_max >= 3, (
         f"no fringe maxima: {hist.n_detected} of 1000000 trajectories detected "
@@ -161,7 +161,7 @@ def test_criterion_4_decoherence_analog():
     assert tv <= 0.05
     assert ordered, (
         f"oscillation indexes not strictly decreasing: {idx} "
-        f"(all distributions empty at v0=12; see notes/decisions.md)")
+        f"(all distributions empty at v0=12; see README.md \"Physics notes\")")
 
 
 def test_criterion_5_determinism(tmp_path):
@@ -292,4 +292,4 @@ def test_criterion_7_trace_reproduction(tmp_path):
     assert wall < 30.0
     assert detected_ok, (
         f"no detected trajectories among 250 swept angles: {results} "
-        f"(detector unreachable at v0=12; see notes/decisions.md)")
+        f"(detector unreachable at v0=12; see README.md \"Physics notes\")")

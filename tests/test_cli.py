@@ -189,11 +189,6 @@ class TestTrace:
         ids = {int(r.split(",")[0]) for r in rows}
         assert ids == set(range(40))
 
-    def test_record_required(self, tmp_path):
-        cfg = ExperimentConfig(output_dir=str(tmp_path / "norec"))
-        with pytest.raises(ConfigurationError, match="record"):
-            cmd_trace(cfg, n_trajectories=5, record=False)
-
 
 class TestAnalyze:
     def test_single_peak_csv(self, tmp_path):

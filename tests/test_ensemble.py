@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -15,6 +15,7 @@ from slitsim import (
     EmptyHistogramError,
     Escaped,
     FieldParams,
+    Geometry,
     Histogram,
     HistogramSpec,
     SpecMismatchError,
@@ -29,6 +30,7 @@ from slitsim.ensemble import simulate_batch, uniform01
 
 HSPEC = HistogramSpec(bin_width=0.4, y_min=-25.0, y_max=25.0)
 FREE = FieldParams(charge_product=0.0, slit_half_height=5.0)
+SPLIT_LANES = 600
 
 
 def make_hist(counts, **tallies) -> Histogram:
@@ -157,6 +159,27 @@ class TestDeterminism:
                 assert y_final[i] == pytest.approx(rec.outcome.y_hit, abs=1e-9)
             elif isinstance(rec.outcome, Escaped):
                 assert codes[i] == 3
+
+    @settings(max_examples=15, deadline=None)
+    @given(cuts=st.lists(st.integers(1, SPLIT_LANES - 1), max_size=6,
+                         unique=True).map(sorted))
+    @example(cuts=[7, 40, 41, 300])
+    def test_batch_split_invariance(self, cuts):
+        """A lane's outcome bits do not depend on how its batch was split."""
+        geometry = Geometry(emitter_distance=5.0, screen_gap=25.0,
+                            slit_half_height=5.0, particle_radius=0.2)
+        field = FieldParams(charge_product=-1.0, slit_half_height=5.0)
+        step = StepParams(tau=0.05, mass=1.0)
+        e = EmissionSpec(v0=15.0, alpha_min=math.radians(-45.5),
+                         alpha_max=math.radians(45.5), n=SPLIT_LANES, seed=1)
+        alphas = emission_angles(e, 0, e.n)
+        codes, y_final = simulate_batch(alphas, e.v0, geometry, field, step)
+        pieces = [simulate_batch(part, e.v0, geometry, field, step)
+                  for part in np.split(alphas, cuts)]
+        split_codes = np.concatenate([c for c, _ in pieces])
+        split_y = np.concatenate([y for _, y in pieces])
+        assert np.array_equal(split_codes, codes)
+        assert np.array_equal(split_y.view(np.int64), y_final.view(np.int64))
 
 
 class TestMirrorSymmetry:

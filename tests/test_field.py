@@ -154,11 +154,18 @@ class TestSymmetries:
         for x in (-7.0, -0.3, 0.4, 9.0):
             assert force_closed_form(Vec2(x, 0.0), paper_field).y == 0.0
 
-    def test_batch_matches_scalar(self, paper_field):
+    @pytest.mark.parametrize("preallocated", [False, True], ids=["out_none", "out_buffers"])
+    def test_batch_matches_scalar(self, paper_field, preallocated):
         pts = grid_points(paper_field)
         xs = np.array([p.x for p in pts])
         ys = np.array([p.y for p in pts])
-        fx, fy = force_batch(xs, ys, paper_field)
+        out = np.full((4, xs.size), np.nan) if preallocated else None
+        fx, fy = force_batch(xs, ys, paper_field, out=out)
+        ref_x, ref_y = force_batch(xs, ys, paper_field)
+        np.testing.assert_array_equal(fx, ref_x)
+        np.testing.assert_array_equal(fy, ref_y)
+        if preallocated:
+            assert np.shares_memory(fx, out[0]) and np.shares_memory(fy, out[1])
         for i, p in enumerate(pts):
             cf = force_closed_form(p, paper_field)
             assert fx[i] == pytest.approx(cf.x, rel=1e-14, abs=1e-300)
