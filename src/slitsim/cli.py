@@ -10,7 +10,8 @@ Subcommands
 
 Every data file is a pure function of (config, seed); reruns are
 byte-identical regardless of worker count.  Exit codes: 0 success,
-2 configuration or input error, 3 I/O error.
+2 configuration or input error, 3 I/O error, 4 a worker process died,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +302,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"slitsim: i/o error: {exc}", file=sys.stderr)
         return 3
+    except BrokenProcessPool as exc:
+        print(f"slitsim: worker process died: {exc}", file=sys.stderr)
+        return 4
+    except KeyboardInterrupt:
+        print("slitsim: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

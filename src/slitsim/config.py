@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .dynamics import StepParams
 from .ensemble import EmissionSpec, HistogramSpec
@@ -59,31 +60,9 @@ def _parse_tau_list(text: str) -> tuple[float, ...]:
     return vals
 
 
-_PARSERS = {
-    "charge_product": float,
-    "slit_half_height": float,
-    "emitter_distance": float,
-    "screen_gap": float,
-    "particle_radius": float,
-    "y_bound": float,
-    "max_steps": int,
-    "tau": float,
-    "tau_list": _parse_tau_list,
-    "mass": float,
-    "v0": float,
-    "alpha_min_deg": float,
-    "alpha_max_deg": float,
-    "mode": str,
-    "n": int,
-    "seed": int,
-    "bin_width": float,
-    "y_min": float,
-    "y_max": float,
-    "workers": int,
-    "output_dir": str,
-    "window": int,
-    "k_sigma": float,
-}
+# Each key's parser is its field's type, except for the list form of tau_list.
+_PARSERS = {key: _parse_tau_list if key == "tau_list" else hint
+            for key, hint in get_type_hints(ExperimentConfig).items()}
 
 CONFIG_KEYS = tuple(sorted(_PARSERS))
 

@@ -182,15 +182,12 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     """Advance one batch of trajectories to termination.
 
     Returns (codes, y_final): outcome code per trajectory and the impact
-    or hit y for blocked/detected ones (NaN otherwise).
-
-    Hot loop notes: all float work goes through preallocated scratch
-    buffers; finished lanes are masked out and physically removed only
-    when enough of them accumulate, which keeps the per-step cost at one
-    pass over the arrays instead of one compaction copy per event.
+    or hit y for blocked/detected ones (NaN otherwise).  A lane leaves
+    the working arrays in the step it finishes; lanes still running
+    after max_steps keep their initial step-limit code.
     """
     n = alphas.size
-    codes = np.zeros(n, dtype=np.uint8)
+    codes = np.full(n, _STEPLIMIT, dtype=np.uint8)
     y_final = np.full(n, np.nan)
 
     aperture = g.aperture
@@ -205,77 +202,65 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     y = np.zeros(n)
     vx = v0 * np.cos(alphas)
     vy = v0 * np.sin(alphas)
-    alive = np.ones(n, dtype=bool)
-    n_alive = n
-    n_dead = 0
 
     scratch = np.empty((7, n))
 
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(g.max_steps):
-            if n_alive == 0:
-                return codes, y_final
-            m = idx.size
-            t1, d1, t2, d2, t3, xv, yv = scratch[:, :m]
-            force_batch(x, y, f, out=(t1, d1, t2, d2))  # t1 = F_x, d1 = F_y
+            if not idx.size:
+                break
+            lam0, ay0, dy, lam1, y0, x1, y1 = scratch[:, :idx.size]
+            fx, fy = force_batch(x, y, f, out=(lam0, ay0, dy, lam1))
 
-            # velocity-first update into the position scratch xv, yv
-            np.multiply(t1, k, out=t1)
-            np.add(vx, t1, out=vx)
-            np.multiply(d1, k, out=d1)
-            np.add(vy, d1, out=vy)
-            np.multiply(vx, tau, out=t1)
-            np.add(x, t1, out=xv)
-            np.multiply(vy, tau, out=d1)
-            np.add(y, d1, out=yv)
+            # velocity first, then the position from the new velocity
+            np.multiply(fx, k, out=fx)
+            np.add(vx, fx, out=vx)
+            np.multiply(fy, k, out=fy)
+            np.add(vy, fy, out=vy)
+            np.multiply(vx, tau, out=fx)
+            np.add(x, fx, out=x1)
+            np.multiply(vy, tau, out=fy)
+            np.add(y, fy, out=y1)
 
-            cross0 = ((x < 0.0) & (xv >= 0.0)) | ((x > 0.0) & (xv <= 0.0))
-            np.subtract(x, xv, out=t1)
-            np.divide(x, t1, out=t1)                    # t1 = lam at plane
-            np.subtract(yv, y, out=t2)
-            np.multiply(t1, t2, out=t3)
-            np.add(y, t3, out=t3)                       # t3 = y at plane
-            np.abs(t3, out=d1)
-            blocked = cross0 & (d1 >= aperture) & alive
-            det = (xv >= d) & alive
-            np.subtract(xv, x, out=d2)
-            np.divide(d - x, d2, out=d2)                # d2 = lam at detector
+            cross0 = ((x < 0.0) & (x1 >= 0.0)) | ((x > 0.0) & (x1 <= 0.0))
+            np.subtract(x, x1, out=lam0)
+            np.divide(x, lam0, out=lam0)                # segment fraction at x = 0
+            np.subtract(y1, y, out=dy)
+            np.multiply(lam0, dy, out=y0)
+            np.add(y, y0, out=y0)                       # y at x = 0
+            np.abs(y0, out=ay0)
+            blocked = cross0 & (ay0 >= aperture)
+            det = x1 >= d
+            np.subtract(x1, x, out=lam1)
+            np.divide(d - x, lam1, out=lam1)            # segment fraction at x = d
             # Same-segment double crossing: the earlier event wins, and a
             # pass through the slit does not cancel a later detector hit.
-            blocked &= ~det | (t1 <= d2)
+            blocked &= ~det | (lam0 <= lam1)
             det &= ~blocked
-            esc = ~blocked & ~det & alive & ((np.abs(yv) > y_bound)
-                                             | (xv < x_escape))
+            esc = ~blocked & ~det & ((np.abs(y1) > y_bound) | (x1 < x_escape))
 
             done = blocked | det | esc
-            n_done = int(done.sum())
-            if n_done:
+            if done.any():
                 sel = idx[blocked]
                 codes[sel] = _BLOCKED
-                y_final[sel] = t3[blocked]
+                y_final[sel] = y0[blocked]
                 sel = idx[det]
                 codes[sel] = _DETECTED
-                np.multiply(d2, t2, out=t2)
-                np.add(y, t2, out=t2)                   # y at detector
-                y_final[sel] = t2[det]
+                np.multiply(lam1, dy, out=dy)
+                np.add(y, dy, out=dy)                   # y at x = d
+                y_final[sel] = dy[det]
                 codes[idx[esc]] = _ESCAPED
-                alive &= ~done
-                n_alive -= n_done
-                n_dead += n_done
+                keep = ~done
+                # one gather per statement frees each old array before the next
+                idx = idx[keep]
+                x = x1[keep]
+                y = y1[keep]
+                vx = vx[keep]
+                vy = vy[keep]
+            else:
+                np.copyto(x, x1)
+                np.copyto(y, y1)
 
-            np.copyto(x, xv)
-            np.copyto(y, yv)
-
-            if n_dead > max(64, m // 8):
-                idx = idx[alive]
-                x = x[alive]
-                y = y[alive]
-                vx = vx[alive]
-                vy = vy[alive]
-                alive = np.ones(n_alive, dtype=bool)
-                n_dead = 0
-
-    codes[idx[alive]] = _STEPLIMIT
     return codes, y_final
 
 
@@ -292,20 +277,19 @@ def _simulate_chunk(args) -> Histogram:
     e, g, f, sp, hspec, lo, hi = args
     alphas = emission_angles(e, lo, hi)
     codes, y_final = simulate_batch(alphas, e.v0, g, f, sp)
-    det = codes == _DETECTED
-    counts, under, over = _bin_hits(y_final[det], hspec)
-    h = Histogram(
+    counts, under, over = _bin_hits(y_final[codes == _DETECTED], hspec)
+    tally = np.bincount(codes, minlength=_STEPLIMIT + 1)
+    return Histogram(
         spec=hspec,
         counts=counts,
         n_emitted=hi - lo,
-        n_detected=int(det.sum()),
-        n_blocked=int((codes == _BLOCKED).sum()),
-        n_escaped=int((codes == _ESCAPED).sum()),
-        n_steplimit=int((codes == _STEPLIMIT).sum()),
+        n_detected=int(tally[_DETECTED]),
+        n_blocked=int(tally[_BLOCKED]),
+        n_escaped=int(tally[_ESCAPED]),
+        n_steplimit=int(tally[_STEPLIMIT]),
         underflow=under,
         overflow=over,
     )
-    return h
 
 
 def run_ensemble(e: EmissionSpec, g: Geometry, f: FieldParams, sp: StepParams,
@@ -324,7 +308,7 @@ def run_ensemble(e: EmissionSpec, g: Geometry, f: FieldParams, sp: StepParams,
         for chunk in chunks:
             total = merge(total, _simulate_chunk(chunk))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             for part in pool.map(_simulate_chunk, chunks):
                 total = merge(total, part)
     total.check_conservation()

@@ -1,11 +1,12 @@
 """Config parsing, subcommands, emitted files, exit codes."""
 
 import math
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
-from slitsim import ConfigurationError, find_extrema, normalize, run_ensemble
+from slitsim import ConfigurationError, cli, find_extrema, normalize, run_ensemble
 from slitsim.cli import (
     analyze_distribution,
     cmd_analyze,
@@ -127,6 +128,20 @@ class TestSimulate:
         badfile.write_text("nonsense = 1\n")
         assert main(["simulate", "--config", str(badfile)]) == 2
         assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 3
+
+    @pytest.mark.parametrize("exc, code", [
+        (BrokenProcessPool("a worker ended abruptly"), 4),
+        (KeyboardInterrupt(), 130),
+    ], ids=["broken-pool", "interrupt"])
+    def test_pool_failure_and_interrupt_exit_codes(self, tmp_path, monkeypatch,
+                                                   capsys, exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_ensemble", fail)
+        assert main(["simulate", "--n", "10", "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("slitsim: ") and err.count("\n") == 1
 
 
 class TestSweepTau:

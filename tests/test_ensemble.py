@@ -1,6 +1,7 @@
 """Ensembles: reproducible emission, histogram accounting, parallel merge."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from slitsim import (
     Histogram,
     HistogramSpec,
     SpecMismatchError,
+    StepLimit,
     StepParams,
     emission_angles,
     merge,
@@ -26,7 +28,8 @@ from slitsim import (
     run_discrete_trajectory,
     run_ensemble,
 )
-from slitsim.ensemble import simulate_batch, uniform01
+from slitsim import ensemble
+from slitsim.ensemble import CHUNK_SIZE, simulate_batch, uniform01
 
 HSPEC = HistogramSpec(bin_width=0.4, y_min=-25.0, y_max=25.0)
 FREE = FieldParams(charge_product=0.0, slit_half_height=5.0)
@@ -142,14 +145,44 @@ class TestDeterminism:
                 base.n_detected, base.n_blocked, base.n_escaped,
                 base.n_steplimit, base.underflow, base.overflow)
 
+    def test_pool_capped_at_chunk_count(self, monkeypatch, paper_geometry,
+                                        paper_field, paper_step):
+        """No more worker processes are asked for than there are chunks."""
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", SerialPool)
+        e = EmissionSpec(v0=15.0, alpha_min=math.radians(-45.5),
+                         alpha_max=math.radians(45.5), n=CHUNK_SIZE + 1, seed=2)
+        h = run_ensemble(e, paper_geometry, paper_field, paper_step, HSPEC,
+                         workers=64)
+        assert asked == [2]
+        assert h.n_emitted == e.n
+
+    # At max_steps 60 and tau 0.05 the wide angles run out of steps while
+    # the narrow ones are blocked or detected, so every outcome branch runs.
+    @pytest.mark.parametrize("max_steps", [1_000_000, 60])
     def test_batch_kernel_matches_trajectory_api(self, paper_geometry, paper_field,
-                                                 paper_step):
+                                                 paper_step, max_steps):
         """The vectorized kernel and the per-trajectory runner agree."""
+        geometry = replace(paper_geometry, max_steps=max_steps)
         alphas = np.radians(np.linspace(-44.0, 44.0, 64))
-        codes, y_final = simulate_batch(alphas, 15.0, paper_geometry, paper_field,
+        codes, y_final = simulate_batch(alphas, 15.0, geometry, paper_field,
                                         paper_step)
         for i, a in enumerate(alphas):
-            rec = run_discrete_trajectory(float(a), 15.0, paper_geometry,
+            rec = run_discrete_trajectory(float(a), 15.0, geometry,
                                           paper_field, paper_step)
             if isinstance(rec.outcome, Blocked):
                 assert codes[i] == 1
@@ -159,6 +192,13 @@ class TestDeterminism:
                 assert y_final[i] == pytest.approx(rec.outcome.y_hit, abs=1e-9)
             elif isinstance(rec.outcome, Escaped):
                 assert codes[i] == 3
+                assert np.isnan(y_final[i])
+            else:
+                assert isinstance(rec.outcome, StepLimit)
+                assert codes[i] == 4
+                assert np.isnan(y_final[i])
+        if max_steps == 60:
+            assert 0 < int((codes == 4).sum()) < codes.size
 
     @settings(max_examples=15, deadline=None)
     @given(cuts=st.lists(st.integers(1, SPLIT_LANES - 1), max_size=6,
