@@ -12,9 +12,16 @@ mechanisms guarantee this:
     histograms is order-independent.
 
 The hot loop advances whole chunks as numpy arrays and retires finished
-trajectories as it goes, down to the last survivor.  Every operation is
-elementwise, so a trajectory's result does not depend on which batch it
-was simulated in or how large that batch was.
+trajectories as it goes, down to the last survivor.  Event detection has
+two stages: a cheap test on every lane flags a superset of the lanes
+that can end in this step (the step touches or crosses x = 0, reaches
+the detector plane, or leaves the escape bounds), and the exact crossing
+rule runs only on the flagged lanes, gathered into scratch rows.  Both
+stages are elementwise: a lane's flag depends on its own values only,
+and the exact rule applies the same float operations to a gathered lane
+as to any other.  So a trajectory's result does not depend on which
+batch it was simulated in, how large that batch was, or which other
+lanes were flagged beside it.
 """
 
 from __future__ import annotations
@@ -185,6 +192,12 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     or hit y for blocked/detected ones (NaN otherwise).  A lane leaves
     the working arrays in the step it finishes; lanes still running
     after max_steps keep their initial step-limit code.
+
+    Each step tests every lane for x*x' <= 0, x' >= d, x' < x_escape or
+    |y'| > y_bound.  No other lane can end in that step, so the exact
+    crossing rule (the float operations of `scattering._segment_event`)
+    runs on the flagged lanes only and gives the bits it would give on
+    all of them.  A step with no flagged lane only moves the positions.
     """
     n = alphas.size
     codes = np.full(n, _STEPLIMIT, dtype=np.uint8)
@@ -203,14 +216,16 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     vx = v0 * np.cos(alphas)
     vy = v0 * np.sin(alphas)
 
-    scratch = np.empty((7, n))
+    scratch = np.empty((6, n))
+    masks = np.empty((6, n), dtype=bool)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(g.max_steps):
-            if not idx.size:
+            m = idx.size
+            if not m:
                 break
-            lam0, ay0, dy, lam1, y0, x1, y1 = scratch[:, :idx.size]
-            fx, fy = force_batch(x, y, f, out=(lam0, ay0, dy, lam1))
+            s0, s1, s2, s3, x1, y1 = scratch[:, :m]
+            fx, fy = force_batch(x, y, f, out=(s0, s1, s2, s3))
 
             # velocity first, then the position from the new velocity
             np.multiply(fx, k, out=fx)
@@ -222,35 +237,80 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             np.multiply(vy, tau, out=fy)
             np.add(y, fy, out=y1)
 
-            cross0 = ((x < 0.0) & (x1 >= 0.0)) | ((x > 0.0) & (x1 <= 0.0))
-            np.subtract(x, x1, out=lam0)
-            np.divide(x, lam0, out=lam0)                # segment fraction at x = 0
-            np.subtract(y1, y, out=dy)
-            np.multiply(lam0, dy, out=y0)
-            np.add(y, y0, out=y0)                       # y at x = 0
-            np.abs(y0, out=ay0)
-            blocked = cross0 & (ay0 >= aperture)
-            det = x1 >= d
-            np.subtract(x1, x, out=lam1)
-            np.divide(d - x, lam1, out=lam1)            # segment fraction at x = d
+            # Every lane: a superset of the lanes that end this step.
+            near, tmp = masks[:2, :m]
+            np.multiply(x, x1, out=s0)
+            np.less_equal(s0, 0.0, out=near)            # on or across x = 0
+            np.greater_equal(x1, d, out=tmp)
+            near |= tmp
+            np.less(x1, x_escape, out=tmp)
+            near |= tmp
+            np.abs(y1, out=s0)
+            np.greater(s0, y_bound, out=tmp)
+            near |= tmp
+            ev = np.flatnonzero(near)
+
+            if not ev.size:
+                np.copyto(x, x1)
+                np.copyto(y, y1)
+                continue
+
+            # Flagged lanes only: the exact rule on lanes gathered into the
+            # force rows; each name is bound to the row that holds its value.
+            s0, s1, s2, s3 = scratch[:4, :ev.size]
+            blocked, det, esc, t0, t1 = masks[1:, :ev.size]
+            xe = np.take(x, ev, out=s0)
+            x1e = np.take(x1, ev, out=s1)
+            np.less(xe, 0.0, out=blocked)
+            np.greater_equal(x1e, 0.0, out=t0)
+            blocked &= t0
+            np.greater(xe, 0.0, out=t0)
+            np.less_equal(x1e, 0.0, out=t1)
+            t0 &= t1
+            blocked |= t0                               # crosses x = 0
+            np.greater_equal(x1e, d, out=det)
+            np.less(x1e, x_escape, out=esc)
+            lam0 = np.subtract(xe, x1e, out=s2)
+            np.divide(xe, lam0, out=lam0)               # segment fraction at x = 0
+            dx = np.subtract(x1e, xe, out=s1)
+            lam1 = np.subtract(d, xe, out=s0)
+            np.divide(lam1, dx, out=lam1)               # segment fraction at x = d
+            y1e = np.take(y1, ev, out=s3)
+            np.abs(y1e, out=s1)
+            np.greater(s1, y_bound, out=t0)
+            esc |= t0
+            ye = np.take(y, ev, out=s1)
+            dy = np.subtract(y1e, ye, out=s3)
+            np.less_equal(lam0, lam1, out=t1)
+            y0 = np.multiply(lam0, dy, out=s2)
+            np.add(ye, y0, out=y0)                      # y at x = 0
+            yd = np.multiply(lam1, dy, out=s0)
+            np.add(ye, yd, out=yd)                      # y at x = d
+            np.abs(y0, out=s3)
+            np.greater_equal(s3, aperture, out=t0)
+            blocked &= t0
             # Same-segment double crossing: the earlier event wins, and a
             # pass through the slit does not cancel a later detector hit.
-            blocked &= ~det | (lam0 <= lam1)
-            det &= ~blocked
-            esc = ~blocked & ~det & ((np.abs(y1) > y_bound) | (x1 < x_escape))
-
-            done = blocked | det | esc
+            np.logical_not(det, out=t0)
+            t0 |= t1
+            blocked &= t0
+            np.logical_not(blocked, out=t0)
+            det &= t0
+            done = np.logical_or(blocked, det, out=t1)
+            np.logical_not(done, out=t0)
+            esc &= t0
+            done |= esc
             if done.any():
-                sel = idx[blocked]
+                sel = idx[ev[blocked]]
                 codes[sel] = _BLOCKED
                 y_final[sel] = y0[blocked]
-                sel = idx[det]
+                sel = idx[ev[det]]
                 codes[sel] = _DETECTED
-                np.multiply(lam1, dy, out=dy)
-                np.add(y, dy, out=dy)                   # y at x = d
-                y_final[sel] = dy[det]
-                codes[idx[esc]] = _ESCAPED
-                keep = ~done
+                y_final[sel] = yd[det]
+                codes[idx[ev[esc]]] = _ESCAPED
+                keep = near
+                keep.fill(True)
+                keep[ev[done]] = False
                 # one gather per statement frees each old array before the next
                 idx = idx[keep]
                 x = x1[keep]

@@ -160,9 +160,8 @@ def force_batch(x: np.ndarray, y: np.ndarray, params: FieldParams,
     np.multiply(d2, d2, out=d2)
     np.add(d2, fy, out=d2)
     np.divide(d1, d2, out=d1)
-    np.log(d1, out=d1)
-    np.negative(d1, out=d1)                     # |F_y| / |qs|, >= 0
-    np.copysign(d1, y, out=fy)
+    np.log(d1, out=d1)                          # -|F_y| / |qs|, <= 0
+    np.copysign(d1, y, out=fy)                  # only its magnitude is used
     np.multiply(fy, -qs, out=fy)
     return fx, fy
 

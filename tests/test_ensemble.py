@@ -173,20 +173,28 @@ class TestDeterminism:
 
     # At max_steps 60 and tau 0.05 the wide angles run out of steps while
     # the narrow ones are blocked or detected, so every outcome branch runs.
-    @pytest.mark.parametrize("max_steps", [1_000_000, 60])
+    # At v0 12 every lane passes the slit, turns back short of the detector
+    # and meets the screen again from x > 0.
+    @pytest.mark.parametrize("v0, max_steps", [
+        pytest.param(15.0, 1_000_000, id="1000000"),
+        pytest.param(15.0, 60, id="60"),
+        pytest.param(12.0, 1_000_000, id="v12-1000000"),
+    ])
     def test_batch_kernel_matches_trajectory_api(self, paper_geometry, paper_field,
-                                                 paper_step, max_steps):
+                                                 paper_step, v0, max_steps):
         """The vectorized kernel and the per-trajectory runner agree."""
         geometry = replace(paper_geometry, max_steps=max_steps)
         alphas = np.radians(np.linspace(-44.0, 44.0, 64))
-        codes, y_final = simulate_batch(alphas, 15.0, geometry, paper_field,
+        codes, y_final = simulate_batch(alphas, v0, geometry, paper_field,
                                         paper_step)
+        from_right = 0
         for i, a in enumerate(alphas):
-            rec = run_discrete_trajectory(float(a), 15.0, geometry,
-                                          paper_field, paper_step)
+            rec = run_discrete_trajectory(float(a), v0, geometry,
+                                          paper_field, paper_step, record=True)
             if isinstance(rec.outcome, Blocked):
                 assert codes[i] == 1
                 assert y_final[i] == pytest.approx(rec.outcome.y_impact, abs=1e-9)
+                from_right += rec.path[-2].pos[0] > 0.0
             elif isinstance(rec.outcome, Detected):
                 assert codes[i] == 2
                 assert y_final[i] == pytest.approx(rec.outcome.y_hit, abs=1e-9)
@@ -199,6 +207,51 @@ class TestDeterminism:
                 assert np.isnan(y_final[i])
         if max_steps == 60:
             assert 0 < int((codes == 4).sum()) < codes.size
+        if v0 == 12.0:
+            assert from_right > 0
+
+    def test_zero_field_kernel_matches_trajectory_bits(self, paper_geometry):
+        """Without a field both forces are exactly +-0 and every other float
+        operation is the same, so kernel and runner agree bit for bit.
+
+        The grid covers all four outcomes, a first step that lands exactly
+        on x = 0 (v0 5, tau 1, alpha 0), and blocks and detector hits on a
+        segment that also crosses the screen plane.
+        """
+        alphas = np.radians(np.append(np.linspace(-179.0, 179.0, 181), 0.0))
+        codes, y_final, want_codes, want_y, both_planes = [], [], [], [], []
+        for tau in (0.05, 0.3, 1.0, 2.5, 7.0):
+            step = StepParams(tau=tau)
+            for max_steps in (1000, 3):
+                geometry = replace(paper_geometry, max_steps=max_steps)
+                for v0 in (5.0, 15.0):
+                    c, y = simulate_batch(alphas, v0, geometry, FREE, step)
+                    codes.append(c)
+                    y_final.append(y)
+                    for a in alphas:
+                        rec = run_discrete_trajectory(float(a), v0, geometry,
+                                                      FREE, step)
+                        out = rec.outcome
+                        want_codes.append({Blocked: 1, Detected: 2, Escaped: 3,
+                                           StepLimit: 4}[type(out)])
+                        want_y.append(out.y_impact if isinstance(out, Blocked)
+                                      else out.y_hit if isinstance(out, Detected)
+                                      else np.nan)
+                        # straight flight: the last segment's end points
+                        dx = tau * v0 * math.cos(a)
+                        x_end = -geometry.emitter_distance + rec.steps_taken * dx
+                        both_planes.append(x_end - dx < 0.0
+                                           and x_end >= geometry.screen_gap)
+        codes = np.concatenate(codes)
+        y_final = np.concatenate(y_final)
+        want_codes = np.array(want_codes, dtype=np.uint8)
+        want_y = np.array(want_y)
+        both_planes = np.array(both_planes)
+        assert set(want_codes.tolist()) == {1, 2, 3, 4}
+        assert np.any(both_planes & (want_codes == 1))
+        assert np.any(both_planes & (want_codes == 2))
+        assert int((codes != want_codes).sum()) == 0
+        assert int((y_final.view(np.int64) != want_y.view(np.int64)).sum()) == 0
 
     @settings(max_examples=15, deadline=None)
     @given(cuts=st.lists(st.integers(1, SPLIT_LANES - 1), max_size=6,
