@@ -7,6 +7,14 @@ finite differences at step tau:
     r(t + tau) = r(t) + tau * v(t + tau)
 
 i.e. semi-implicit Euler with the force taken at the pre-step position.
+The array kernel (`ensemble.simulate_batch`) runs the same map on the
+displacement per step u = tau * v:
+
+    u(t + tau) = u(t) + (tau^2 / m) * F(r(t))
+    r(t + tau) = r(t) + u(t + tau)
+
+which saves two multiplies per coordinate and differs from this form
+only in rounding.
 `integrate_reference` is a fixed-step classical Runge-Kutta (4th order)
 integrator of the underlying ODE and stands in for the tau -> 0 limit in
 convergence and energy tests.

@@ -12,16 +12,19 @@ mechanisms guarantee this:
     histograms is order-independent.
 
 The hot loop advances whole chunks as numpy arrays and retires finished
-trajectories as it goes, down to the last survivor.  Event detection has
-two stages: a cheap test on every lane flags a superset of the lanes
-that can end in this step (the step touches or crosses x = 0, reaches
-the detector plane, or leaves the escape bounds), and the exact crossing
-rule runs only on the flagged lanes, gathered into scratch rows.  Both
-stages are elementwise: a lane's flag depends on its own values only,
-and the exact rule applies the same float operations to a gathered lane
-as to any other.  So a trajectory's result does not depend on which
-batch it was simulated in, how large that batch was, or which other
-lanes were flagged beside it.
+trajectories as it goes, down to the last survivor: a running lane from
+the end of the arrays moves into each finished lane's place.  A lane's
+state is its position and its displacement per step u = tau * v (see
+`dynamics`).  Event detection has two stages: a cheap test on every lane
+flags a superset of the lanes that can end in this step (the step
+touches or crosses x = 0, reaches the detector plane, or leaves the
+escape bounds), and the exact crossing rule runs only on the flagged
+lanes, gathered into scratch rows.  Both stages are elementwise: a
+lane's flag depends on its own values only, and the exact rule applies
+the same float operations to a gathered lane as to any other.  So a
+trajectory's result does not depend on which batch it was simulated in,
+how large that batch was, which other lanes were flagged beside it, or
+where in the arrays it sat.
 """
 
 from __future__ import annotations
@@ -193,11 +196,21 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     the working arrays in the step it finishes; lanes still running
     after max_steps keep their initial step-limit code.
 
+    The state is x, y and u = tau * v per lane.  A step is
+    u += (tau^2 / m) F(x, y), then x' = x + u: the map of
+    `dynamics.step_discrete` in four array passes instead of eight.  The
+    rows of (x, y) and (x', y') swap names after each step instead of
+    being copied.
+
     Each step tests every lane for x*x' <= 0, x' >= d, x' < x_escape or
     |y'| > y_bound.  No other lane can end in that step, so the exact
     crossing rule (the float operations of `scattering._segment_event`)
     runs on the flagged lanes only and gives the bits it would give on
-    all of them.  A step with no flagged lane only moves the positions.
+    all of them.  A lane that ends leaves a hole below m, the running
+    count after the step, and a running lane from places m and up moves
+    into it with its index, so retiring costs time in proportion to the
+    lanes retired.  Every operation is elementwise, so this reordering
+    moves no bit of a result.
     """
     n = alphas.size
     codes = np.full(n, _STEPLIMIT, dtype=np.uint8)
@@ -208,15 +221,22 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     y_bound = g.y_bound
     x_escape = g.x_escape
     tau = sp.tau
-    k = tau / sp.mass
+    # F(r) scaled by tau * tau / m is the change of u = tau * v in one step
+    fu = FieldParams(f.charge_product * (tau * (tau / sp.mass)), f.slit_half_height)
 
     idx = np.arange(n, dtype=np.int64)
-    x = np.full(n, -g.emitter_distance)
-    y = np.zeros(n)
-    vx = v0 * np.cos(alphas)
-    vy = v0 * np.sin(alphas)
+    # Rows x_a, y_a, u_x, u_y, x_b, y_b.  Positions (x, y) and (x', y')
+    # are the pairs a and b in turn, so the state a lane carries into the
+    # next step, its new position and u, is rows 0:4 or rows 2:6.
+    state = np.empty((6, n))
+    state[0] = -g.emitter_distance
+    state[1] = 0.0
+    # (v0 cos a) tau: the runner's velocity times tau, the same bits
+    np.multiply(v0 * np.cos(alphas), tau, out=state[2])
+    np.multiply(v0 * np.sin(alphas), tau, out=state[3])
+    pos, pos1 = 0, 4
 
-    scratch = np.empty((6, n))
+    scratch = np.empty((4, n))
     masks = np.empty((6, n), dtype=bool)
 
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -224,18 +244,18 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             m = idx.size
             if not m:
                 break
-            s0, s1, s2, s3, x1, y1 = scratch[:, :m]
-            fx, fy = force_batch(x, y, f, out=(s0, s1, s2, s3))
+            x, y = state[pos:pos + 2, :m]
+            x1, y1 = state[pos1:pos1 + 2, :m]
+            ux, uy = state[2:4, :m]
+            s0, s1, s2, s3 = scratch[:, :m]
+            fx, fy = force_batch(x, y, fu, out=(s0, s1, s2, s3))
 
-            # velocity first, then the position from the new velocity
-            np.multiply(fx, k, out=fx)
-            np.add(vx, fx, out=vx)
-            np.multiply(fy, k, out=fy)
-            np.add(vy, fy, out=vy)
-            np.multiply(vx, tau, out=fx)
-            np.add(x, fx, out=x1)
-            np.multiply(vy, tau, out=fy)
-            np.add(y, fy, out=y1)
+            # u first, then the position from the new u
+            np.add(ux, fx, out=ux)
+            np.add(x, ux, out=x1)
+            np.add(uy, fy, out=uy)
+            np.add(y, uy, out=y1)
+            pos, pos1 = pos1, pos
 
             # Every lane: a superset of the lanes that end this step.
             near, tmp = masks[:2, :m]
@@ -251,8 +271,6 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             ev = np.flatnonzero(near)
 
             if not ev.size:
-                np.copyto(x, x1)
-                np.copyto(y, y1)
                 continue
 
             # Flagged lanes only: the exact rule on lanes gathered into the
@@ -308,18 +326,20 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
                 codes[sel] = _DETECTED
                 y_final[sel] = yd[det]
                 codes[idx[ev[esc]]] = _ESCAPED
-                keep = near
+                # Swap-out: running lanes from places m and up fill the
+                # holes finished lanes leave below m, the new running count.
+                gone = ev[done]
+                m -= gone.size
+                n_holes = np.searchsorted(gone, m)
+                keep = near[m:m + gone.size]
                 keep.fill(True)
-                keep[ev[done]] = False
-                # one gather per statement frees each old array before the next
-                idx = idx[keep]
-                x = x1[keep]
-                y = y1[keep]
-                vx = vx[keep]
-                vy = vy[keep]
-            else:
-                np.copyto(x, x1)
-                np.copyto(y, y1)
+                keep[gone[n_holes:] - m] = False
+                movers = m + np.flatnonzero(keep)
+                holes = gone[:n_holes]
+                live = state[min(pos, 2):min(pos, 2) + 4]
+                live[:, holes] = live[:, movers]
+                idx[holes] = idx[movers]
+                idx = idx[:m]
 
     return codes, y_final
 

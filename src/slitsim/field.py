@@ -4,14 +4,18 @@ The screen occupies the plane x = 0 except for a gap |y| < R (the slit);
 the strip extends to infinity along z.  A point charge moving in the z = 0
 plane feels the in-plane force
 
-    F_x = 2*qs * (sign(x)*pi + atan((y-R)/x) - atan((y+R)/x))
-    F_y = qs * ln[(x^2 + (R-y)^2) / (x^2 + (R+y)^2)]
+    F_x = 2*qs * atan2(2R*x, (R-y)*(R+y) - x^2)
+    F_y = qs * (ln[x^2 + (R-y)^2] - ln[x^2 + (R+y)^2])
 
 where qs is the product of particle charge and screen charge density
-(qs < 0 means attraction).  The sign(x) factor makes the closed form valid
-on both sides of the screen; without it the expression only holds for
-x > 0.  `force_quadrature` integrates the underlying surface-charge
-integrals directly and serves as an independent check of the closed form,
+(qs < 0 means attraction).  F_x / (2*qs) is the angle that the charged part
+of the plane subtends at the particle.  F_x equals the textbook form
+2*qs * (sign(x)*pi + atan((y-R)/x) - atan((y+R)/x)), but needs no sign(x)
+term: atan2 takes the sign of its first argument, 2R*x, so the one
+expression is valid on both sides of the screen, and it is finite at
+x = 0, where it gives F_x = 0 inside the slit and at its edges.
+`force_quadrature` integrates the underlying surface-charge integrals
+directly and serves as an independent check of the closed form,
 including the sign convention.
 
 All quantities are dimensionless model units.
@@ -93,23 +97,18 @@ def _check_point(p: Vec2, params: FieldParams) -> None:
 def _force_scalar(x: float, y: float, qs: float, R: float) -> tuple[float, float]:
     """Closed-form force components; assumes the point is off the surface.
 
-    Works with |x|, |y| internally so that the mirror identities
-    F_x(-x, y) = -F_x(x, y) and F_y(x, -y) = -F_y(x, y) hold exactly in
-    floating point; trajectory mirror tests rely on this.
+    The mirror identities F_x(-x, y) = -F_x(x, y) and
+    F_y(x, -y) = -F_y(x, y) hold exactly in floating point: atan2 is odd
+    in its first argument, y -> -y swaps the two factors of the product
+    and the two logs, and IEEE subtraction is exactly antisymmetric.
+    Trajectory mirror tests rely on this.  `force_batch` applies the same
+    operations in the same order.
     """
-    ax = abs(x)
-    ay = abs(y)
-    d1 = ay - R
-    d2 = ay + R
-    if ax == 0.0:
-        fx = 0.0
-    else:
-        fx = ((math.atan(d1 / ax) - math.atan(d2 / ax)) + math.pi) * (2.0 * qs)
-        if x < 0.0:
-            fx = -fx
+    d1 = R - y
+    d2 = R + y
     x2 = x * x
-    g = qs * math.log((x2 + d1 * d1) / (x2 + d2 * d2))
-    fy = -g if y < 0.0 else g
+    fx = math.atan2((2.0 * R) * x, d1 * d2 - x2) * (2.0 * qs)
+    fy = (math.log(x2 + d1 * d1) - math.log(x2 + d2 * d2)) * qs
     return fx, fy
 
 
@@ -129,7 +128,7 @@ def force_batch(x: np.ndarray, y: np.ndarray, params: FieldParams,
                 out=None) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized closed-form force for trajectory ensembles.
 
-    Same even/odd canonicalization as the scalar path, so mirror
+    The float operations of `_force_scalar` in the same order, so mirror
     symmetry is exact elementwise.  Points on the screen surface are the
     caller's responsibility; they never occur in the stepping loop
     because blocking happens before the force is evaluated there.
@@ -140,29 +139,22 @@ def force_batch(x: np.ndarray, y: np.ndarray, params: FieldParams,
     qs = params.charge_product
     R = params.slit_half_height
     fx, fy, d1, d2 = np.empty((4,) + np.shape(x)) if out is None else out
-    np.abs(y, out=fy)
-    np.subtract(fy, R, out=d1)
-    np.add(fy, R, out=d2)
-    np.abs(x, out=fx)
-    with np.errstate(divide="ignore"):
-        np.divide(1.0, fx, out=fx)
-    np.multiply(d1, fx, out=fy)
-    np.arctan(fy, out=fy)
-    np.multiply(d2, fx, out=fx)
-    np.arctan(fx, out=fx)
-    np.subtract(fy, fx, out=fx)
-    np.add(fx, np.pi, out=fx)                   # |F_x| / (2|qs|), in [0, pi]
-    np.copysign(fx, x, out=fx)
-    np.multiply(fx, 2.0 * qs, out=fx)
-    np.multiply(x, x, out=fy)
+    np.subtract(R, y, out=d1)
+    np.add(y, R, out=d2)
+    np.multiply(x, x, out=fy)                   # x^2 until F_y
+    np.multiply(d1, d2, out=fx)
+    np.subtract(fx, fy, out=fx)
     np.multiply(d1, d1, out=d1)
-    np.add(d1, fy, out=d1)
+    np.add(fy, d1, out=d1)
     np.multiply(d2, d2, out=d2)
-    np.add(d2, fy, out=d2)
-    np.divide(d1, d2, out=d1)
-    np.log(d1, out=d1)                          # -|F_y| / |qs|, <= 0
-    np.copysign(d1, y, out=fy)                  # only its magnitude is used
-    np.multiply(fy, -qs, out=fy)
+    np.add(fy, d2, out=d2)
+    np.multiply(x, 2.0 * R, out=fy)
+    np.arctan2(fy, fx, out=fx)
+    np.multiply(fx, 2.0 * qs, out=fx)
+    np.log(d1, out=d1)
+    np.log(d2, out=d2)
+    np.subtract(d1, d2, out=fy)
+    np.multiply(fy, qs, out=fy)
     return fx, fy
 
 

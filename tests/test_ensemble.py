@@ -253,6 +253,25 @@ class TestDeterminism:
         assert int((codes != want_codes).sum()) == 0
         assert int((y_final.view(np.int64) != want_y.view(np.int64)).sum()) == 0
 
+    @pytest.mark.parametrize("max_steps", [60, 1_000_000])
+    def test_lane_order_invariance(self, paper_geometry, paper_field, paper_step,
+                                   max_steps):
+        """Permuting the lanes permutes the results bit for bit, so moving
+        running lanes into the places of finished ones changes nothing."""
+        geometry = replace(paper_geometry, max_steps=max_steps)
+        e = EmissionSpec(v0=15.0, alpha_min=math.radians(-45.5),
+                         alpha_max=math.radians(45.5), n=SPLIT_LANES, seed=4)
+        alphas = emission_angles(e, 0, e.n)
+        p = np.random.default_rng(5).permutation(e.n)
+        codes, y_final = simulate_batch(alphas, e.v0, geometry, paper_field,
+                                        paper_step)
+        p_codes, p_y = simulate_batch(alphas[p], e.v0, geometry, paper_field,
+                                      paper_step)
+        assert np.array_equal(p_codes, codes[p])
+        assert np.array_equal(p_y.view(np.int64), y_final[p].view(np.int64))
+        if max_steps == 60:
+            assert 0 < int((codes == 4).sum()) < codes.size
+
     @settings(max_examples=15, deadline=None)
     @given(cuts=st.lists(st.integers(1, SPLIT_LANES - 1), max_size=6,
                          unique=True).map(sorted))

@@ -171,6 +171,36 @@ class TestSymmetries:
             assert fx[i] == pytest.approx(cf.x, rel=1e-14, abs=1e-300)
             assert fy[i] == pytest.approx(cf.y, rel=1e-14, abs=1e-300)
 
+    def test_batch_mirror_parities_exact(self, paper_field):
+        """The array force is exactly odd in x (F_x) and in y (F_y), and even
+        in the other coordinate, on points off the charged surface."""
+        R = paper_field.slit_half_height
+        special = np.array([5e-324, 1e-300, 1e-12, 1e-6, 0.3, R - 1e-9, R,
+                            R + 1e-9, 7.0, 40.0])
+        sx, sy = np.meshgrid(special, np.concatenate([[0.0], special]))
+        rng = np.random.default_rng(7)
+        xs = np.concatenate([sx.ravel(), rng.uniform(-30.0, 30.0, 2000)])
+        ys = np.concatenate([sy.ravel(), rng.uniform(-30.0, 30.0, 2000)])
+        # x^2 underflows for the tiniest x, so F_y is infinite at (x, +-R)
+        with np.errstate(divide="ignore"):
+            fx, fy = force_batch(xs, ys, paper_field)
+            fx_x, fy_x = force_batch(-xs, ys, paper_field)
+            fx_y, fy_y = force_batch(xs, -ys, paper_field)
+        assert not np.isnan(fx).any() and not np.isnan(fy).any()
+        assert np.array_equal(fx_x, -fx) and np.array_equal(fy_x, fy)
+        assert np.array_equal(fx_y, fx) and np.array_equal(fy_y, -fy)
+
+    def test_batch_zero_x_force(self, paper_field):
+        """On the plane x = +-0, inside the slit and at its edges, F_x is 0,
+        and F_y is 0 on the axis."""
+        R = paper_field.slit_half_height
+        ys = np.array([0.0, 3.0, -3.0, R, -R])
+        for x0 in (0.0, -0.0):
+            with np.errstate(divide="ignore"):      # F_y at the edges is infinite
+                fx, fy = force_batch(np.full(ys.size, x0), ys, paper_field)
+            assert np.all(fx == 0.0)
+            assert fy[0] == 0.0
+
 
 class TestFieldStructure:
     def test_curl_free(self, paper_field):
