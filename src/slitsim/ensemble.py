@@ -19,8 +19,8 @@ state is its position and its displacement per step u = tau * v (see
 flags a superset of the lanes that can end in this step (the step
 touches or crosses x = 0, reaches the detector plane, or leaves the
 escape bounds), and the exact crossing rule runs only on the flagged
-lanes, gathered into scratch rows.  Both stages are elementwise: a
-lane's flag depends on its own values only, and the exact rule applies
+lanes, gathered once from the state rows.  Both stages are elementwise:
+a lane's flag depends on its own values only, and the exact rule applies
 the same float operations to a gathered lane as to any other.  So a
 trajectory's result does not depend on which batch it was simulated in,
 how large that batch was, which other lanes were flagged beside it, or
@@ -30,6 +30,7 @@ where in the arrays it sat.
 from __future__ import annotations
 
 import math
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -205,12 +206,12 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     Each step tests every lane for x*x' <= 0, x' >= d, x' < x_escape or
     |y'| > y_bound.  No other lane can end in that step, so the exact
     crossing rule (the float operations of `scattering._segment_event`)
-    runs on the flagged lanes only and gives the bits it would give on
-    all of them.  A lane that ends leaves a hole below m, the running
-    count after the step, and a running lane from places m and up moves
-    into it with its index, so retiring costs time in proportion to the
-    lanes retired.  Every operation is elementwise, so this reordering
-    moves no bit of a result.
+    runs on the flagged lanes only, gathered in one `np.take`, and gives
+    the bits it would give on all of them.  A lane that ends leaves a
+    hole below m, the running count after the step, and a running lane
+    from places m and up moves into it with its index, so retiring costs
+    time in proportion to the lanes retired.  Every operation is
+    elementwise, so this reordering moves no bit of a result.
     """
     n = alphas.size
     codes = np.full(n, _STEPLIMIT, dtype=np.uint8)
@@ -237,7 +238,7 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     pos, pos1 = 0, 4
 
     scratch = np.empty((4, n))
-    masks = np.empty((6, n), dtype=bool)
+    masks = np.empty((2, n), dtype=bool)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(g.max_steps):
@@ -258,7 +259,7 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             pos, pos1 = pos1, pos
 
             # Every lane: a superset of the lanes that end this step.
-            near, tmp = masks[:2, :m]
+            near, tmp = masks[:, :m]
             np.multiply(x, x1, out=s0)
             np.less_equal(s0, 0.0, out=near)            # on or across x = 0
             np.greater_equal(x1, d, out=tmp)
@@ -273,69 +274,39 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             if not ev.size:
                 continue
 
-            # Flagged lanes only: the exact rule on lanes gathered into the
-            # force rows; each name is bound to the row that holds its value.
-            s0, s1, s2, s3 = scratch[:4, :ev.size]
-            blocked, det, esc, t0, t1 = masks[1:, :ev.size]
-            xe = np.take(x, ev, out=s0)
-            x1e = np.take(x1, ev, out=s1)
-            np.less(xe, 0.0, out=blocked)
-            np.greater_equal(x1e, 0.0, out=t0)
-            blocked &= t0
-            np.greater(xe, 0.0, out=t0)
-            np.less_equal(x1e, 0.0, out=t1)
-            t0 &= t1
-            blocked |= t0                               # crosses x = 0
-            np.greater_equal(x1e, d, out=det)
-            np.less(x1e, x_escape, out=esc)
-            lam0 = np.subtract(xe, x1e, out=s2)
-            np.divide(xe, lam0, out=lam0)               # segment fraction at x = 0
-            dx = np.subtract(x1e, xe, out=s1)
-            lam1 = np.subtract(d, xe, out=s0)
-            np.divide(lam1, dx, out=lam1)               # segment fraction at x = d
-            y1e = np.take(y1, ev, out=s3)
-            np.abs(y1e, out=s1)
-            np.greater(s1, y_bound, out=t0)
-            esc |= t0
-            ye = np.take(y, ev, out=s1)
-            dy = np.subtract(y1e, ye, out=s3)
-            np.less_equal(lam0, lam1, out=t1)
-            y0 = np.multiply(lam0, dy, out=s2)
-            np.add(ye, y0, out=y0)                      # y at x = 0
-            yd = np.multiply(lam1, dy, out=s0)
-            np.add(ye, yd, out=yd)                      # y at x = d
-            np.abs(y0, out=s3)
-            np.greater_equal(s3, aperture, out=t0)
-            blocked &= t0
+            # Flagged lanes only: `scattering._segment_event` on (xe, ye) -> (x1e, y1e).
+            seg = np.take(state, ev, axis=1)
+            xe, ye = seg[pos1:pos1 + 2]
+            x1e, y1e = seg[pos:pos + 2]
+            lam0 = xe / (xe - x1e)                      # segment fraction at x = 0
+            lam1 = (d - xe) / (x1e - xe)                # segment fraction at x = d
+            dy = y1e - ye
+            y0 = ye + lam0 * dy                         # y at x = 0
+            yd = ye + lam1 * dy                         # y at x = d
+            crosses = ((xe < 0.0) & (x1e >= 0.0)) | ((xe > 0.0) & (x1e <= 0.0))
+            blocked = crosses & (np.abs(y0) >= aperture)
+            det = x1e >= d
             # Same-segment double crossing: the earlier event wins, and a
             # pass through the slit does not cancel a later detector hit.
-            np.logical_not(det, out=t0)
-            t0 |= t1
-            blocked &= t0
-            np.logical_not(blocked, out=t0)
-            det &= t0
-            done = np.logical_or(blocked, det, out=t1)
-            np.logical_not(done, out=t0)
-            esc &= t0
-            done |= esc
+            blocked &= ~det | (lam0 <= lam1)
+            det &= ~blocked
+            esc = ((x1e < x_escape) | (np.abs(y1e) > y_bound)) & ~(blocked | det)
+            done = blocked | det | esc
             if done.any():
-                sel = idx[ev[blocked]]
-                codes[sel] = _BLOCKED
-                y_final[sel] = y0[blocked]
-                sel = idx[ev[det]]
-                codes[sel] = _DETECTED
-                y_final[sel] = yd[det]
-                codes[idx[ev[esc]]] = _ESCAPED
+                lanes = idx[ev]
+                codes[lanes[blocked]] = _BLOCKED
+                y_final[lanes[blocked]] = y0[blocked]
+                codes[lanes[det]] = _DETECTED
+                y_final[lanes[det]] = yd[det]
+                codes[lanes[esc]] = _ESCAPED
                 # Swap-out: running lanes from places m and up fill the
                 # holes finished lanes leave below m, the new running count.
                 gone = ev[done]
                 m -= gone.size
-                n_holes = np.searchsorted(gone, m)
-                keep = near[m:m + gone.size]
-                keep.fill(True)
-                keep[gone[n_holes:] - m] = False
+                holes = gone[gone < m]
+                keep = np.ones(gone.size, dtype=bool)   # places m and up
+                keep[gone[holes.size:] - m] = False
                 movers = m + np.flatnonzero(keep)
-                holes = gone[:n_holes]
                 live = state[min(pos, 2):min(pos, 2) + 4]
                 live[:, holes] = live[:, movers]
                 idx[holes] = idx[movers]
@@ -388,7 +359,10 @@ def run_ensemble(e: EmissionSpec, g: Geometry, f: FieldParams, sp: StepParams,
         for chunk in chunks:
             total = merge(total, _simulate_chunk(chunk))
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        # Workers ignore SIGINT, so Ctrl-C interrupts only this process.
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
+                                 initializer=signal.signal,
+                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
             for part in pool.map(_simulate_chunk, chunks):
                 total = merge(total, part)
     total.check_conservation()

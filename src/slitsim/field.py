@@ -187,7 +187,8 @@ def force_quadrature(p: Vec2, params: FieldParams, spec: QuadratureSpec) -> Vec2
     Each half-line is integrated up to the symmetric cutoff Y; beyond Y
     the two tails are combined into a single absolutely convergent
     integrand (the y' -> -y' pair), which preserves the cancellation of
-    the log divergence and removes the O(1/Y) truncation error.
+    the log divergence and removes the O(1/Y) truncation error.  Needs
+    scipy, which only the `test` extra installs; the rest runs on numpy.
     """
     _check_point(p, params)
     x, y = float(p[0]), float(p[1])

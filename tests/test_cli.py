@@ -25,6 +25,7 @@ from slitsim.config import (
     parse_config,
     with_overrides,
 )
+from slitsim.ensemble import CHUNK_SIZE
 
 FAST = dict(v0=15.0, n=2000, seed=9, workers=1)
 
@@ -175,6 +176,18 @@ class TestSweepTau:
         assert a == b
         tv_rows = (out / "tv_report.csv").read_text().strip().splitlines()[1:]
         assert float(tv_rows[0].split(",")[2]) == 0.0
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path):
+        args = dict(FAST, n=CHUNK_SIZE + 3616, tau_list=(0.05, 0.025))
+        names = ["distribution_tau0.05.csv", "distribution_tau0.025.csv",
+                 "sweep_report.csv", "tv_report.csv"]
+        outs = []
+        for workers in (1, 2):
+            cfg = ExperimentConfig(output_dir=str(tmp_path / f"w{workers}"),
+                                   **{**args, "workers": workers})
+            out = cmd_sweep_tau(cfg)
+            outs.append([(out / name).read_bytes() for name in names])
+        assert outs[0] == outs[1]
 
     def test_ascending_list_rejected(self, tmp_path):
         cfg = ExperimentConfig(output_dir=str(tmp_path / "x"),

@@ -1,6 +1,7 @@
 """Ensembles: reproducible emission, histogram accounting, parallel merge."""
 
 import math
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -145,14 +146,17 @@ class TestDeterminism:
                 base.n_detected, base.n_blocked, base.n_escaped,
                 base.n_steplimit, base.underflow, base.overflow)
 
-    def test_pool_capped_at_chunk_count(self, monkeypatch, paper_geometry,
-                                        paper_field, paper_step):
-        """No more worker processes are asked for than there are chunks."""
-        asked = []
+    @pytest.fixture
+    def serial_pool(self, monkeypatch):
+        """Swap in a pool that maps in this process and starts none.
+
+        Returns the keyword arguments of each pool made.
+        """
+        made = []
 
         class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+            def __init__(self, **kwargs):
+                made.append(kwargs)
 
             def __enter__(self):
                 return self
@@ -164,12 +168,33 @@ class TestDeterminism:
                 return map(fn, items)
 
         monkeypatch.setattr(ensemble, "ProcessPoolExecutor", SerialPool)
+        return made
+
+    def test_pool_capped_at_chunk_count(self, serial_pool, paper_geometry,
+                                        paper_field, paper_step):
+        """No more worker processes are asked for than there are chunks."""
         e = EmissionSpec(v0=15.0, alpha_min=math.radians(-45.5),
                          alpha_max=math.radians(45.5), n=CHUNK_SIZE + 1, seed=2)
         h = run_ensemble(e, paper_geometry, paper_field, paper_step, HSPEC,
                          workers=64)
+        asked = [kwargs["max_workers"] for kwargs in serial_pool]
         assert asked == [2]
         assert h.n_emitted == e.n
+
+    def test_pool_workers_ignore_sigint(self, serial_pool, paper_geometry,
+                                        paper_field, paper_step):
+        """Each worker starts by ignoring SIGINT, so Ctrl-C stops the parent only."""
+        e = EmissionSpec(v0=15.0, alpha_min=math.radians(-45.5),
+                         alpha_max=math.radians(45.5), n=CHUNK_SIZE + 1, seed=2)
+        run_ensemble(e, replace(paper_geometry, max_steps=1), paper_field,
+                     paper_step, HSPEC, workers=2)
+        (kwargs,) = serial_pool
+        saved = signal.getsignal(signal.SIGINT)
+        try:
+            kwargs["initializer"](*kwargs["initargs"])
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        finally:
+            signal.signal(signal.SIGINT, saved)
 
     # At max_steps 60 and tau 0.05 the wide angles run out of steps while
     # the narrow ones are blocked or detected, so every outcome branch runs.
