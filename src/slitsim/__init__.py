@@ -3,14 +3,16 @@
 Charged particles are emitted toward a uniformly charged screen with a
 slit, stepped with a finite-difference Newton update of step tau, and
 collected on a detector plane.  The package provides the closed-form
-screen force with an independent quadrature oracle, discrete and
-continuous-reference trajectory runners, reproducible Monte Carlo
-ensembles with detector histograms, and fringe metrics for comparing
-distributions across tau.
+screen force and its exact potential, the discrete per-trajectory
+runner, reproducible Monte Carlo ensembles with detector histograms,
+and fringe metrics for comparing distributions across tau.  It needs
+numpy only; the independent references the tests check it against (a
+quadrature oracle for the force and a 4th-order Runge-Kutta integrator
+for the tau -> 0 limit) live in `tests/oracle.py`.
 """
 
 from .analysis import ExtremaReport, find_extrema, oscillation_index, total_variation
-from .dynamics import ParticleState, StepParams, energy, integrate_reference, step_discrete
+from .dynamics import ParticleState, StepParams, energy, step_discrete
 from .ensemble import (
     EmissionSpec,
     Histogram,
@@ -26,17 +28,8 @@ from .errors import (
     ScreenSurfaceError,
     SlitSimError,
     SpecMismatchError,
-    StepLimitExceededError,
-    ToleranceNotMetError,
 )
-from .field import (
-    FieldParams,
-    QuadratureSpec,
-    Vec2,
-    force_closed_form,
-    force_quadrature,
-    potential,
-)
+from .field import FieldParams, Vec2, force_closed_form, potential
 from .scattering import (
     Blocked,
     Detected,
@@ -45,7 +38,6 @@ from .scattering import (
     Outcome,
     StepLimit,
     TrajectoryRecord,
-    run_continuous_trajectory,
     run_discrete_trajectory,
 )
 
@@ -65,27 +57,21 @@ __all__ = [
     "HistogramSpec",
     "Outcome",
     "ParticleState",
-    "QuadratureSpec",
     "ScreenSurfaceError",
     "SlitSimError",
     "SpecMismatchError",
     "StepLimit",
-    "StepLimitExceededError",
     "StepParams",
-    "ToleranceNotMetError",
     "TrajectoryRecord",
     "Vec2",
     "emission_angles",
     "energy",
     "find_extrema",
     "force_closed_form",
-    "force_quadrature",
-    "integrate_reference",
     "merge",
     "normalize",
     "oscillation_index",
     "potential",
-    "run_continuous_trajectory",
     "run_discrete_trajectory",
     "run_ensemble",
     "step_discrete",

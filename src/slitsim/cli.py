@@ -107,6 +107,12 @@ def cmd_sweep_tau(cfg: ExperimentConfig) -> Path:
         raise ConfigurationError("tau_list must be non-empty")
     if any(b > a for a, b in zip(taus, taus[1:])):
         raise ConfigurationError("tau_list must be descending")
+    first: dict[str, float] = {}
+    for tau in taus:
+        name = f"distribution_tau{tau:g}.csv"
+        if first.setdefault(name, tau) != tau:
+            raise ConfigurationError(
+                f"tau_list values {first[name]!r} and {tau!r} both write {name}")
     out = Path(cfg.output_dir)
     t0 = time.perf_counter()
     results: list[tuple[float, Histogram, np.ndarray]] = []
@@ -156,11 +162,12 @@ def cmd_trace(cfg: ExperimentConfig, n_trajectories: int) -> Path:
     records = [run_discrete_trajectory(a, cfg.v0, geom, fld, step, record=True)
                for a in angles]
 
-    lines = ["traj_id,t,x,y"]
-    for tid, rec in enumerate(records):
-        for s in rec.path:
-            lines.append(f"{tid},{s.t:.17g},{s.pos[0]:.17g},{s.pos[1]:.17g}")
-    _write_text(out / "trajectories.csv", "\n".join(lines) + "\n")
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "trajectories.csv", "w", newline="\n") as fh:
+        fh.write("traj_id,t,x,y\n")
+        for tid, rec in enumerate(records):
+            fh.writelines(f"{tid},{s.t:.17g},{s.pos[0]:.17g},{s.pos[1]:.17g}\n"
+                          for s in rec.path)
     _write_text(out / "trajectories.svg", render_trajectories(records, geom))
 
     wall = time.perf_counter() - t0

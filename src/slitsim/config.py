@@ -163,6 +163,6 @@ def config_echo(cfg: ExperimentConfig) -> str:
     for key in CONFIG_KEYS:
         val = getattr(cfg, key)
         if key == "tau_list":
-            val = ",".join(f"{t:g}" for t in val)
+            val = ",".join(repr(t) for t in val)
         lines.append(f"{key} = {val}")
     return "\n".join(lines)

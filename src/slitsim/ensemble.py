@@ -81,7 +81,11 @@ class EmissionSpec:
 
 @dataclass(frozen=True)
 class HistogramSpec:
-    """Detector binning: equal-width cells over [y_min, y_max)."""
+    """Detector binning: equal-width cells over [y_min, y_max).
+
+    When bin_width does not divide the range, the last cell is cut at
+    y_max; hits at or beyond y_max are overflow.
+    """
 
     bin_width: float
     y_min: float
@@ -317,6 +321,7 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
 
 def _bin_hits(ys: np.ndarray, spec: HistogramSpec) -> tuple[np.ndarray, int, int]:
     ix = np.floor((ys - spec.y_min) / spec.bin_width).astype(np.int64)
+    ix[ys >= spec.y_max] = spec.n_bins      # the last cell may reach past y_max
     under = int((ix < 0).sum())
     over = int((ix >= spec.n_bins).sum())
     ok = (ix >= 0) & (ix < spec.n_bins)

@@ -9,14 +9,6 @@ class ScreenSurfaceError(SlitSimError, ValueError):
     """Evaluation requested on the charged screen surface (x = 0, |y| >= R)."""
 
 
-class ToleranceNotMetError(SlitSimError, RuntimeError):
-    """Adaptive quadrature exhausted its subdivision budget."""
-
-
-class StepLimitExceededError(SlitSimError, RuntimeError):
-    """Reference integration ran out of steps before its stop condition fired."""
-
-
 class ConfigurationError(SlitSimError, ValueError):
     """Inconsistent or invalid run parameters."""
 

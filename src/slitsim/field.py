@@ -14,9 +14,9 @@ of the plane subtends at the particle.  F_x equals the textbook form
 term: atan2 takes the sign of its first argument, 2R*x, so the one
 expression is valid on both sides of the screen, and it is finite at
 x = 0, where it gives F_x = 0 inside the slit and at its edges.
-`force_quadrature` integrates the underlying surface-charge integrals
-directly and serves as an independent check of the closed form,
-including the sign convention.
+The tests check the closed form, including the sign convention, against
+direct quadrature of the underlying surface-charge integrals
+(`tests/oracle.py`).
 
 All quantities are dimensionless model units.
 """
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ScreenSurfaceError, ToleranceNotMetError
+from .errors import ScreenSurfaceError
 
 
 class Vec2(NamedTuple):
@@ -56,30 +56,6 @@ class FieldParams:
             raise ValueError("charge_product must be finite")
         if not (self.slit_half_height > 0):
             raise ValueError("slit_half_height must be > 0")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the direct numerical integration of the screen force.
-
-    truncation_half_width: symmetric cutoff Y for the charged-line
-        coordinate; the two half-lines are truncated at the same |Y| so
-        their logarithmically divergent contributions cancel.  The
-        remainder beyond Y is integrated as a symmetrically paired tail,
-        which is the exact Y -> infinity limit of the symmetric cutoff.
-    abs_tol: absolute tolerance on each force component.
-    max_subdivisions: adaptive subdivision budget per integral.
-    """
-
-    truncation_half_width: float
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0):
-            raise ValueError("abs_tol must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 def on_screen_surface(p: Vec2, params: FieldParams) -> bool:
@@ -156,62 +132,6 @@ def force_batch(x: np.ndarray, y: np.ndarray, params: FieldParams,
     np.subtract(d1, d2, out=fy)
     np.multiply(fy, qs, out=fy)
     return fx, fy
-
-
-def _quad_checked(fun, a: float, b: float, spec: QuadratureSpec) -> float:
-    """scipy.integrate.quad within the QuadratureSpec budget, or ToleranceNotMetError."""
-    from scipy.integrate import quad  # slow to import; only the oracle needs it
-
-    result = quad(fun, a, b, epsabs=spec.abs_tol / 8.0, epsrel=1e-12,
-                  limit=spec.max_subdivisions, full_output=1)
-    if len(result) > 3:
-        raise ToleranceNotMetError(
-            f"quadrature on [{a}, {b}] did not converge: {result[3]}")
-    value, abserr = result[0], result[1]
-    if abserr > max(spec.abs_tol, 1e-10 * abs(value)):
-        raise ToleranceNotMetError(
-            f"quadrature on [{a}, {b}] reached error {abserr:.3e} > {spec.abs_tol:.3e}")
-    return value
-
-
-def force_quadrature(p: Vec2, params: FieldParams, spec: QuadratureSpec) -> Vec2:
-    """Direct integration of the screen-charge force, the oracle for
-    `force_closed_form`.
-
-    The z-integral of the Coulomb kernel is done analytically, leaving
-    one integral per component over the charged set |y'| > R:
-
-        F_x = qs * Int 2 x / (x^2 + (y - y')^2) dy'
-        F_y = qs * Int 2 (y - y') / (x^2 + (y - y')^2) dy'
-
-    Each half-line is integrated up to the symmetric cutoff Y; beyond Y
-    the two tails are combined into a single absolutely convergent
-    integrand (the y' -> -y' pair), which preserves the cancellation of
-    the log divergence and removes the O(1/Y) truncation error.  Needs
-    scipy, which only the `test` extra installs; the rest runs on numpy.
-    """
-    _check_point(p, params)
-    x, y = float(p[0]), float(p[1])
-    qs = params.charge_product
-    R = params.slit_half_height
-    Y = float(spec.truncation_half_width)
-    if not Y > R:
-        raise ValueError("truncation_half_width must exceed slit_half_height")
-
-    def gx(yp: float) -> float:
-        u = y - yp
-        return 2.0 * x / (x * x + u * u)
-
-    def gy(yp: float) -> float:
-        u = y - yp
-        return 2.0 * u / (x * x + u * u)
-
-    fx = _quad_checked(gx, R, Y, spec) + _quad_checked(gx, -Y, -R, spec)
-    fy = _quad_checked(gy, R, Y, spec) + _quad_checked(gy, -Y, -R, spec)
-    # Paired tails: s >= Y contributes g(s) + g(-s), decaying like 1/s^2.
-    fx += _quad_checked(lambda s: gx(s) + gx(-s), Y, math.inf, spec)
-    fy += _quad_checked(lambda s: gy(s) + gy(-s), Y, math.inf, spec)
-    return Vec2(qs * fx, qs * fy)
 
 
 def potential(p: Vec2, params: FieldParams) -> float:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .dynamics import ParticleState, StepParams, rk4_step, step_discrete
+from .dynamics import ParticleState, StepParams, step_discrete
 from .errors import ConfigurationError
 from .field import FieldParams, Vec2
 
@@ -173,23 +173,3 @@ def run_discrete_trajectory(alpha: float, v0: float, g: Geometry,
     check_consistent(g, f)
     return _run(_emission_state(alpha, v0, g),
                 lambda s: step_discrete(s, f, sp), g, record)
-
-
-def run_continuous_trajectory(alpha: float, v0: float, g: Geometry,
-                              f: FieldParams, mass: float = 1.0,
-                              h: float | None = None,
-                              record: bool = False) -> TrajectoryRecord:
-    """Reference run with the 4th-order integrator, the tau -> 0 limit.
-
-    Default step: h = 1e-4 * D / v0.  Crossing rules are identical to the
-    discrete runner.
-    """
-    if not (v0 > 0):
-        raise ValueError("v0 must be > 0")
-    check_consistent(g, f)
-    if h is None:
-        h = 1e-4 * g.emitter_distance / v0
-    if not (h > 0):
-        raise ValueError("h must be > 0")
-    return _run(_emission_state(alpha, v0, g),
-                lambda s: rk4_step(s, f, mass, h), g, record)

@@ -25,13 +25,10 @@ from slitsim import (
     Histogram,
     HistogramSpec,
     ParticleState,
-    QuadratureSpec,
     StepParams,
     Vec2,
     find_extrema,
     force_closed_form,
-    force_quadrature,
-    integrate_reference,
     merge,
     oscillation_index,
     run_ensemble,
@@ -40,6 +37,8 @@ from slitsim import (
 )
 from slitsim.cli import cmd_simulate, cmd_trace
 from slitsim.config import ExperimentConfig
+
+from oracle import QuadratureSpec, force_quadrature, integrate_reference
 
 FIELD = FieldParams(charge_product=-1.0, slit_half_height=5.0)
 GEOMETRY = Geometry(emitter_distance=5.0, screen_gap=25.0, slit_half_height=5.0,

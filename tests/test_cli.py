@@ -22,6 +22,7 @@ from slitsim.config import (
     build_geometry,
     build_histogram_spec,
     build_step,
+    config_echo,
     parse_config,
     with_overrides,
 )
@@ -81,6 +82,12 @@ class TestConfigParsing:
     def test_overrides(self):
         cfg = with_overrides(ExperimentConfig(), seed=77, n=123, tau=None)
         assert cfg.seed == 77 and cfg.n == 123 and cfg.tau == 0.05
+
+    def test_echo_parses_back_to_the_same_config(self, tmp_path):
+        cfg = ExperimentConfig(tau_list=(0.001000001, 0.001, 1e-05))
+        path = tmp_path / "echo.cfg"
+        path.write_text(config_echo(cfg) + "\n")
+        assert parse_config(path) == cfg
 
     def test_component_builders_convert_degrees(self):
         cfg = ExperimentConfig()
@@ -188,6 +195,13 @@ class TestSweepTau:
             out = cmd_sweep_tau(cfg)
             outs.append([(out / name).read_bytes() for name in names])
         assert outs[0] == outs[1]
+
+    def test_taus_sharing_a_file_name_rejected(self, tmp_path, capsys):
+        out = tmp_path / "clash"
+        path = write_config(tmp_path, v0=15, n=200, tau_list="0.001000001, 0.001")
+        assert main(["sweep-tau", "--config", str(path), "--out", str(out)]) == 2
+        assert "distribution_tau0.001.csv" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ascending_list_rejected(self, tmp_path):
         cfg = ExperimentConfig(output_dir=str(tmp_path / "x"),

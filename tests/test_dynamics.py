@@ -11,15 +11,19 @@ from slitsim import (
     FieldParams,
     ParticleState,
     ScreenSurfaceError,
-    StepLimitExceededError,
     StepParams,
     Vec2,
     energy,
-    force_quadrature,
-    integrate_reference,
     step_discrete,
 )
-from slitsim.field import QuadratureSpec, on_screen_surface
+from slitsim.field import on_screen_surface
+
+from oracle import (
+    QuadratureSpec,
+    StepLimitExceededError,
+    force_quadrature,
+    integrate_reference,
+)
 
 FREE = FieldParams(charge_product=0.0, slit_half_height=5.0)
 ATTRACT = FieldParams(charge_product=-1.0, slit_half_height=5.0)

@@ -119,6 +119,15 @@ class TestHistogramAccounting:
         assert h.underflow > 0 and h.overflow > 0
         assert int(h.counts.sum()) + h.underflow + h.overflow == h.n_detected
 
+    def test_partial_last_cell_ends_at_y_max(self):
+        """With a width that does not divide the range, the last cell spans
+        [24.8, 25.1); a hit past y_max = 25 is overflow, not binned."""
+        spec = HistogramSpec(bin_width=0.3, y_min=-25.0, y_max=25.0)
+        assert spec.n_bins == 167
+        counts, under, over = ensemble._bin_hits(np.array([24.9, 25.0, 25.05]), spec)
+        assert (under, over) == (0, 2)
+        assert counts[166] == 1 and int(counts.sum()) == 1
+
     def test_bin_count_rule(self):
         assert HSPEC.n_bins == 125
         assert HistogramSpec(bin_width=0.4, y_min=0.0, y_max=1.0).n_bins == 3

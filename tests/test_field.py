@@ -11,15 +11,14 @@ from scipy.integrate import quad
 
 from slitsim import (
     FieldParams,
-    QuadratureSpec,
     ScreenSurfaceError,
-    ToleranceNotMetError,
     Vec2,
     force_closed_form,
-    force_quadrature,
     potential,
 )
 from slitsim.field import force_batch
+
+from oracle import QuadratureSpec, ToleranceNotMetError, force_quadrature
 
 ORACLE = QuadratureSpec(truncation_half_width=1e4, abs_tol=1e-10, max_subdivisions=200)
 

@@ -14,10 +14,11 @@ from slitsim import (
     Geometry,
     StepLimit,
     StepParams,
-    run_continuous_trajectory,
     run_discrete_trajectory,
 )
 from slitsim.scattering import _segment_event
+
+from oracle import run_continuous_trajectory
 
 FREE = FieldParams(charge_product=0.0, slit_half_height=5.0)
 
