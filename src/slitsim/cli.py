@@ -41,7 +41,7 @@ from .config import (
 from .ensemble import Histogram, HistogramSpec, emission_angles, run_ensemble
 from .errors import ConfigurationError, SlitSimError
 from .scattering import run_discrete_trajectory
-from .svg import render_trajectories
+from .svg import render_trajectories, sketch
 
 _DIST_HEADER = "bin_center,count,frequency"
 
@@ -159,19 +159,23 @@ def cmd_trace(cfg: ExperimentConfig, n_trajectories: int) -> Path:
     fld = build_field(cfg)
     step = build_step(cfg)
     angles = emission_angles(emission, 0, n_trajectories)
-    records = [run_discrete_trajectory(a, cfg.v0, geom, fld, step, record=True)
-               for a in angles]
 
+    # One full path at a time: its CSV rows are written as it finishes,
+    # and only its thinned sketch is kept for the picture.
     out.mkdir(parents=True, exist_ok=True)
+    sketches = []
     with open(out / "trajectories.csv", "w", newline="\n") as fh:
         fh.write("traj_id,t,x,y\n")
-        for tid, rec in enumerate(records):
+        for tid, a in enumerate(angles):
+            rec = run_discrete_trajectory(a, cfg.v0, geom, fld, step, record=True)
             fh.writelines(f"{tid},{s.t:.17g},{s.pos[0]:.17g},{s.pos[1]:.17g}\n"
                           for s in rec.path)
-    _write_text(out / "trajectories.svg", render_trajectories(records, geom))
+            sketches.append(sketch(rec))
+            del rec
+    _write_text(out / "trajectories.svg", render_trajectories(sketches, geom))
 
     wall = time.perf_counter() - t0
-    outcomes = [type(rec.outcome).__name__ for rec in records]
+    outcomes = [type(sk.outcome).__name__ for sk in sketches]
     body = [f"trajectories = {n_trajectories}"]
     for name in ("Blocked", "Detected", "Escaped", "StepLimit"):
         body.append(f"{name.lower()} = {outcomes.count(name)}")
@@ -216,9 +220,8 @@ def analyze_distribution(path: Path, window: int, k_sigma: float) -> tuple[Extre
     else:
         raise ConfigurationError(f"{path}: nonzero counts but zero frequencies")
     y_min = float(centers[0]) - 0.5 * width
-    # n - 0.5 widths keeps ceil() at exactly n bins despite rounding.
     spec = HistogramSpec(bin_width=width, y_min=y_min,
-                         y_max=y_min + width * (len(centers) - 0.5))
+                         y_max=y_min + width * len(centers))
     values = counts / n_detected if n_detected > 0 else np.zeros(len(counts))
     report = find_extrema(values, spec, n_detected, window=window, k_sigma=k_sigma)
     return report, n_detected

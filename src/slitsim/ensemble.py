@@ -19,19 +19,18 @@ state is its position and its displacement per step u = tau * v (see
 flags a superset of the lanes that can end in this step (the step
 touches or crosses x = 0, reaches the detector plane, or leaves the
 escape bounds), and the exact crossing rule runs only on the flagged
-lanes, gathered once from the state rows.  Both stages are elementwise:
-a lane's flag depends on its own values only, and the exact rule applies
-the same float operations to a gathered lane as to any other.  So a
-trajectory's result does not depend on which batch it was simulated in,
-how large that batch was, which other lanes were flagged beside it, or
-where in the arrays it sat.
+lanes, gathered from the position rows in fixed-size blocks.  Both
+stages are elementwise: a lane's flag depends on its own values only, and
+the exact rule applies the same float operations to a gathered lane as to
+any other.  So a trajectory's result does not depend on which batch it
+was simulated in, how large that batch was, which other lanes were
+flagged beside it, which block it was gathered in, or where in the arrays
+it sat.
 """
 
 from __future__ import annotations
 
-import math
 import signal
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,7 @@ from .field import FieldParams, force_batch
 from .scattering import Geometry, check_consistent
 
 CHUNK_SIZE = 16384
+_EXACT_BLOCK = 1024
 
 _BLOCKED, _DETECTED, _ESCAPED, _STEPLIMIT = 1, 2, 3, 4
 
@@ -83,8 +83,9 @@ class EmissionSpec:
 class HistogramSpec:
     """Detector binning: equal-width cells over [y_min, y_max).
 
-    When bin_width does not divide the range, the last cell is cut at
-    y_max; hits at or beyond y_max are overflow.
+    bin_width must tile the range: the cell count (y_max - y_min) /
+    bin_width must be a whole number to a relative 1e-9.  Hits at or
+    beyond y_max are overflow.
     """
 
     bin_width: float
@@ -96,10 +97,14 @@ class HistogramSpec:
             raise ValueError("bin_width must be > 0")
         if not (self.y_min < self.y_max):
             raise ValueError("y_min must be < y_max")
+        ratio = (self.y_max - self.y_min) / self.bin_width
+        if not (abs(ratio - round(ratio)) <= 1e-9 * ratio and round(ratio) >= 1):
+            raise ValueError(f"bin_width {self.bin_width!r} does not tile "
+                             f"[{self.y_min!r}, {self.y_max!r})")
 
     @property
     def n_bins(self) -> int:
-        return int(math.ceil((self.y_max - self.y_min) / self.bin_width))
+        return round((self.y_max - self.y_min) / self.bin_width)
 
     def bin_centers(self) -> np.ndarray:
         return self.y_min + (np.arange(self.n_bins) + 0.5) * self.bin_width
@@ -210,7 +215,8 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     Each step tests every lane for x*x' <= 0, x' >= d, x' < x_escape or
     |y'| > y_bound.  No other lane can end in that step, so the exact
     crossing rule (the float operations of `scattering._segment_event`)
-    runs on the flagged lanes only, gathered in one `np.take`, and gives
+    runs on the flagged lanes only, gathered _EXACT_BLOCK at a time so its
+    temporaries do not grow with the lanes flagged in one step, and gives
     the bits it would give on all of them.  A lane that ends leaves a
     hole below m, the running count after the step, and a running lane
     from places m and up moves into it with its index, so retiring costs
@@ -229,7 +235,7 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     # F(r) scaled by tau * tau / m is the change of u = tau * v in one step
     fu = FieldParams(f.charge_product * (tau * (tau / sp.mass)), f.slit_half_height)
 
-    idx = np.arange(n, dtype=np.int64)
+    idx = np.arange(n, dtype=np.int32)
     # Rows x_a, y_a, u_x, u_y, x_b, y_b.  Positions (x, y) and (x', y')
     # are the pairs a and b in turn, so the state a lane carries into the
     # next step, its new position and u, is rows 0:4 or rows 2:6.
@@ -240,8 +246,9 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     np.multiply(v0 * np.cos(alphas), tau, out=state[2])
     np.multiply(v0 * np.sin(alphas), tau, out=state[3])
     pos, pos1 = 0, 4
+    positions = state.reshape(3, 2, n)[::2]     # pairs a and b, without u
 
-    scratch = np.empty((4, n))
+    scratch = np.empty((2, n))
     masks = np.empty((2, n), dtype=bool)
 
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -252,8 +259,10 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             x, y = state[pos:pos + 2, :m]
             x1, y1 = state[pos1:pos1 + 2, :m]
             ux, uy = state[2:4, :m]
-            s0, s1, s2, s3 = scratch[:, :m]
-            fx, fy = force_batch(x, y, fu, out=(s0, s1, s2, s3))
+            s0, s1 = scratch[:, :m]
+            # The force's two temporaries live in the rows of (x', y'),
+            # which are dead until the update writes them.
+            fx, fy = force_batch(x, y, fu, out=(s0, s1, x1, y1))
 
             # u first, then the position from the new u
             np.add(ux, fx, out=ux)
@@ -278,31 +287,36 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             if not ev.size:
                 continue
 
-            # Flagged lanes only: `scattering._segment_event` on (xe, ye) -> (x1e, y1e).
-            seg = np.take(state, ev, axis=1)
-            xe, ye = seg[pos1:pos1 + 2]
-            x1e, y1e = seg[pos:pos + 2]
-            lam0 = xe / (xe - x1e)                      # segment fraction at x = 0
-            lam1 = (d - xe) / (x1e - xe)                # segment fraction at x = d
-            dy = y1e - ye
-            y0 = ye + lam0 * dy                         # y at x = 0
-            yd = ye + lam1 * dy                         # y at x = d
-            crosses = ((xe < 0.0) & (x1e >= 0.0)) | ((xe > 0.0) & (x1e <= 0.0))
-            blocked = crosses & (np.abs(y0) >= aperture)
-            det = x1e >= d
-            # Same-segment double crossing: the earlier event wins, and a
-            # pass through the slit does not cancel a later detector hit.
-            blocked &= ~det | (lam0 <= lam1)
-            det &= ~blocked
-            esc = ((x1e < x_escape) | (np.abs(y1e) > y_bound)) & ~(blocked | det)
-            done = blocked | det | esc
+            # Flagged lanes only, in blocks of _EXACT_BLOCK so that the
+            # temporaries stay bounded when a whole front crosses the screen:
+            # `scattering._segment_event` on (xe, ye) -> (x1e, y1e).
+            done = np.empty(ev.size, dtype=bool)
+            for lo in range(0, ev.size, _EXACT_BLOCK):
+                blk = slice(lo, lo + _EXACT_BLOCK)
+                seg = positions[..., ev[blk]]
+                (xe, ye), (x1e, y1e) = seg if pos else seg[::-1]
+                lam0 = xe / (xe - x1e)                  # segment fraction at x = 0
+                lam1 = (d - xe) / (x1e - xe)            # segment fraction at x = d
+                dy = y1e - ye
+                y0 = ye + lam0 * dy                     # y at x = 0
+                yd = ye + lam1 * dy                     # y at x = d
+                crosses = ((xe < 0.0) & (x1e >= 0.0)) | ((xe > 0.0) & (x1e <= 0.0))
+                blocked = crosses & (np.abs(y0) >= aperture)
+                det = x1e >= d
+                # Same-segment double crossing: the earlier event wins, and
+                # a pass through the slit does not cancel a later detector hit.
+                blocked &= ~det | (lam0 <= lam1)
+                det &= ~blocked
+                esc = ((x1e < x_escape) | (np.abs(y1e) > y_bound)) & ~(blocked | det)
+                done[blk] = blocked | det | esc
+                if done[blk].any():
+                    lanes = idx[ev[blk]]
+                    codes[lanes[blocked]] = _BLOCKED
+                    y_final[lanes[blocked]] = y0[blocked]
+                    codes[lanes[det]] = _DETECTED
+                    y_final[lanes[det]] = yd[det]
+                    codes[lanes[esc]] = _ESCAPED
             if done.any():
-                lanes = idx[ev]
-                codes[lanes[blocked]] = _BLOCKED
-                y_final[lanes[blocked]] = y0[blocked]
-                codes[lanes[det]] = _DETECTED
-                y_final[lanes[det]] = yd[det]
-                codes[lanes[esc]] = _ESCAPED
                 # Swap-out: running lanes from places m and up fill the
                 # holes finished lanes leave below m, the new running count.
                 gone = ev[done]
@@ -321,7 +335,7 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
 
 def _bin_hits(ys: np.ndarray, spec: HistogramSpec) -> tuple[np.ndarray, int, int]:
     ix = np.floor((ys - spec.y_min) / spec.bin_width).astype(np.int64)
-    ix[ys >= spec.y_max] = spec.n_bins      # the last cell may reach past y_max
+    ix[ys >= spec.y_max] = spec.n_bins      # rounding may put y_max in the last cell
     under = int((ix < 0).sum())
     over = int((ix >= spec.n_bins).sum())
     ok = (ix >= 0) & (ix < spec.n_bins)
@@ -364,6 +378,8 @@ def run_ensemble(e: EmissionSpec, g: Geometry, f: FieldParams, sp: StepParams,
         for chunk in chunks:
             total = merge(total, _simulate_chunk(chunk))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         # Workers ignore SIGINT, so Ctrl-C interrupts only this process.
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
                                  initializer=signal.signal,

@@ -110,7 +110,8 @@ def force_batch(x: np.ndarray, y: np.ndarray, params: FieldParams,
     because blocking happens before the force is evaluated there.
 
     out: optional four float arrays shaped like x, used as scratch; the
-    returned (F_x, F_y) are the first two.  Without it they are allocated.
+    returned (F_x, F_y) are the first two.  None may share memory with x
+    or y.  Without it they are allocated.
     """
     qs = params.charge_product
     R = params.slit_half_height

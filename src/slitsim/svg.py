@@ -2,26 +2,47 @@
 
 from __future__ import annotations
 
-from .scattering import Detected, Geometry, TrajectoryRecord
+from typing import NamedTuple
+
+from .scattering import Detected, Geometry, Outcome, TrajectoryRecord
 
 _WIDTH = 900
 _MAX_POINTS = 1500
 
 
-def render_trajectories(records: list[TrajectoryRecord], g: Geometry) -> str:
+class Sketch(NamedTuple):
+    """What the picture keeps of one recorded trajectory."""
+
+    outcome: Outcome
+    y_extent: float                         # largest |y| over the full path
+    vertices: list[tuple[float, float]]     # the thinned path; empty if < 2 points
+
+
+def sketch(rec: TrajectoryRecord) -> Sketch:
+    """Keep every ((len - 1) // _MAX_POINTS)-th point of a path, and its end."""
+    path = rec.path or []
+    y_extent = 0.0
+    for s in path:
+        ay = abs(s.pos[1])
+        if ay > y_extent:
+            y_extent = ay
+    if len(path) < 2:
+        return Sketch(rec.outcome, y_extent, [])
+    stride = max(1, (len(path) - 1) // _MAX_POINTS)
+    pts = path[::stride]
+    if pts[-1] is not path[-1]:
+        pts.append(path[-1])
+    return Sketch(rec.outcome, y_extent, [s.pos for s in pts])
+
+
+def render_trajectories(sketches: list[Sketch], g: Geometry) -> str:
     """Draw screens, slit, emitter and one polyline per trajectory.
 
-    Detected paths are drawn in red, everything else in blue.  Long paths
-    are thinned to at most _MAX_POINTS vertices; endpoints are kept.
+    Detected paths are drawn in red, everything else in blue.
     """
     xmin = g.x_escape - 0.5
     xmax = g.screen_gap + 0.5
-    ymax = 1.2 * g.slit_half_height
-    for rec in records:
-        for s in rec.path or ():
-            ay = abs(s.pos[1])
-            if ay > ymax:
-                ymax = ay
+    ymax = max([1.2 * g.slit_half_height] + [sk.y_extent for sk in sketches])
     ymax = min(ymax * 1.05, g.y_bound * 1.05)
 
     scale = _WIDTH / (xmax - xmin)
@@ -38,16 +59,11 @@ def render_trajectories(records: list[TrajectoryRecord], g: Geometry) -> str:
         f'height="{height:.0f}" viewBox="0 0 {_WIDTH} {height:.0f}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    for rec in records:
-        path = rec.path or []
-        if len(path) < 2:
+    for sk in sketches:
+        if not sk.vertices:
             continue
-        stride = max(1, (len(path) - 1) // _MAX_POINTS)
-        pts = path[::stride]
-        if pts[-1] is not path[-1]:
-            pts.append(path[-1])
-        coords = " ".join(f"{px(s.pos[0]):.2f},{py(s.pos[1]):.2f}" for s in pts)
-        color = "#c0392b" if isinstance(rec.outcome, Detected) else "#3a6ea5"
+        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in sk.vertices)
+        color = "#c0392b" if isinstance(sk.outcome, Detected) else "#3a6ea5"
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="0.7" '
                      f'stroke-opacity="0.45" points="{coords}"/>')
     R = g.slit_half_height

@@ -1,7 +1,9 @@
 """Ensembles: reproducible emission, histogram accounting, parallel merge."""
 
+import concurrent.futures
 import math
 import signal
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -119,18 +121,16 @@ class TestHistogramAccounting:
         assert h.underflow > 0 and h.overflow > 0
         assert int(h.counts.sum()) + h.underflow + h.overflow == h.n_detected
 
-    def test_partial_last_cell_ends_at_y_max(self):
-        """With a width that does not divide the range, the last cell spans
-        [24.8, 25.1); a hit past y_max = 25 is overflow, not binned."""
-        spec = HistogramSpec(bin_width=0.3, y_min=-25.0, y_max=25.0)
-        assert spec.n_bins == 167
-        counts, under, over = ensemble._bin_hits(np.array([24.9, 25.0, 25.05]), spec)
-        assert (under, over) == (0, 2)
-        assert counts[166] == 1 and int(counts.sum()) == 1
+    def test_width_that_does_not_tile_is_rejected(self):
+        """A width that does not divide the range would leave a cut last
+        cell ([24.8, 25.0) here) labelled as a full one."""
+        with pytest.raises(ValueError, match="does not tile"):
+            HistogramSpec(bin_width=0.3, y_min=-25.0, y_max=25.0)
 
     def test_bin_count_rule(self):
         assert HSPEC.n_bins == 125
-        assert HistogramSpec(bin_width=0.4, y_min=0.0, y_max=1.0).n_bins == 3
+        with pytest.raises(ValueError, match="does not tile"):
+            HistogramSpec(bin_width=0.4, y_min=0.0, y_max=1.0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -176,7 +176,7 @@ class TestDeterminism:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         return made
 
     def test_pool_capped_at_chunk_count(self, serial_pool, paper_geometry,
@@ -326,6 +326,43 @@ class TestDeterminism:
         split_y = np.concatenate([y for _, y in pieces])
         assert np.array_equal(split_codes, codes)
         assert np.array_equal(split_y.view(np.int64), y_final.view(np.int64))
+
+    @pytest.mark.parametrize("max_steps", [60, 1_000_000])
+    def test_exact_stage_blocks_move_no_bit(self, monkeypatch, paper_geometry,
+                                            paper_field, paper_step, max_steps):
+        """The exact rule runs on the flagged lanes in blocks; blocks of 7
+        lanes give the bits of one block holding them all."""
+        geometry = replace(paper_geometry, max_steps=max_steps)
+        e = EmissionSpec(v0=15.0, alpha_min=math.radians(-45.5),
+                         alpha_max=math.radians(45.5), n=SPLIT_LANES, seed=4)
+        alphas = emission_angles(e, 0, e.n)
+        codes, y_final = simulate_batch(alphas, e.v0, geometry, paper_field,
+                                        paper_step)
+        monkeypatch.setattr(ensemble, "_EXACT_BLOCK", 7)
+        b_codes, b_y = simulate_batch(alphas, e.v0, geometry, paper_field,
+                                      paper_step)
+        assert np.array_equal(b_codes, codes)
+        assert np.array_equal(b_y.view(np.int64), y_final.view(np.int64))
+
+    @pytest.mark.parametrize("tau", [0.05, 0.01, 0.001])
+    @pytest.mark.parametrize("v0", [12.0, 15.0])
+    def test_heap_peak_per_lane(self, paper_geometry, paper_field, v0, tau):
+        """A chunk's heap peak stays near its state rows, whatever tau.
+
+        At tau 0.05 one step flags about half the lanes as the front meets
+        the screen; the exact stage's temporaries must not grow with it.
+        """
+        e = EmissionSpec(v0=v0, alpha_min=math.radians(-45.5),
+                         alpha_max=math.radians(45.5), n=CHUNK_SIZE, seed=1)
+        alphas = emission_angles(e, 0, e.n)
+        tracemalloc.start()
+        try:
+            simulate_batch(alphas, v0, paper_geometry, paper_field,
+                           StepParams(tau=tau, mass=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / e.n <= 100
 
 
 class TestMirrorSymmetry:

@@ -1,4 +1,7 @@
-"""The package runs on its declared dependencies: numpy, and no scipy."""
+"""The package runs on its declared dependencies: numpy, and no scipy.
+
+Nor does it load the process-pool machinery before a pool is asked for.
+"""
 
 import ast
 import os
@@ -28,11 +31,20 @@ def test_no_module_imports_scipy():
     assert offenders == []
 
 
-def test_import_leaves_scipy_unloaded():
+def loaded_after(imports: str, module: str) -> bool:
+    """Whether a fresh interpreter has `module` loaded after `import imports`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
-    code = "import sys, slitsim, slitsim.cli; print('scipy' in sys.modules)"
+    code = f"import sys, {imports}; print({module!r} in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+    return res.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_unloaded():
+    assert not loaded_after("slitsim, slitsim.cli", "scipy")
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    assert not loaded_after("slitsim, slitsim.config", "multiprocessing")
