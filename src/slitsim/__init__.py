@@ -24,7 +24,6 @@ from .ensemble import (
 )
 from .errors import (
     ConfigurationError,
-    EmptyHistogramError,
     ScreenSurfaceError,
     SlitSimError,
     SpecMismatchError,
@@ -48,7 +47,6 @@ __all__ = [
     "ConfigurationError",
     "Detected",
     "EmissionSpec",
-    "EmptyHistogramError",
     "Escaped",
     "ExtremaReport",
     "FieldParams",

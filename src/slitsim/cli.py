@@ -19,7 +19,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +39,12 @@ from .config import (
     parse_config,
     with_overrides,
 )
-from .ensemble import Histogram, HistogramSpec, emission_angles, run_ensemble
+from .ensemble import Histogram, HistogramSpec, emission_angles, normalize, run_ensemble
 from .errors import ConfigurationError, SlitSimError
 from .scattering import run_discrete_trajectory
 from .svg import render_trajectories, sketch
 
 _DIST_HEADER = "bin_center,count,frequency"
-
-
-def _frequencies_or_zeros(h: Histogram) -> np.ndarray:
-    if h.n_detected > 0:
-        return h.counts / float(h.n_detected)
-    return np.zeros_like(h.counts, dtype=float)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -59,7 +54,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _distribution_csv(h: Histogram) -> str:
-    freqs = _frequencies_or_zeros(h)
+    freqs = normalize(h)
     lines = [_DIST_HEADER]
     for center, count, freq in zip(h.spec.bin_centers(), h.counts, freqs):
         lines.append(f"{center:.17g},{int(count)},{freq:.17g}")
@@ -67,15 +62,8 @@ def _distribution_csv(h: Histogram) -> str:
 
 
 def _tally_lines(h: Histogram) -> list[str]:
-    return [
-        f"n_emitted = {h.n_emitted}",
-        f"n_detected = {h.n_detected}",
-        f"n_blocked = {h.n_blocked}",
-        f"n_escaped = {h.n_escaped}",
-        f"n_steplimit = {h.n_steplimit}",
-        f"underflow = {h.underflow}",
-        f"overflow = {h.overflow}",
-    ]
+    return [f"{fd.name} = {getattr(h, fd.name)}" for fd in fields(h)
+            if fd.name not in ("spec", "counts")]
 
 
 def _report_text(cfg: ExperimentConfig, body: list[str], wall: float) -> str:
@@ -121,7 +109,7 @@ def cmd_sweep_tau(cfg: ExperimentConfig) -> Path:
                             build_field(cfg), build_step(cfg, tau=tau),
                             build_histogram_spec(cfg), workers=cfg.workers)
         _write_text(out / f"distribution_tau{tau:g}.csv", _distribution_csv(hist))
-        results.append((tau, hist, _frequencies_or_zeros(hist)))
+        results.append((tau, hist, normalize(hist)))
 
     spec = build_histogram_spec(cfg)
     sweep_lines = ["tau,n_maxima,oscillation_index"]
@@ -222,7 +210,7 @@ def analyze_distribution(path: Path, window: int, k_sigma: float) -> tuple[Extre
     y_min = float(centers[0]) - 0.5 * width
     spec = HistogramSpec(bin_width=width, y_min=y_min,
                          y_max=y_min + width * len(centers))
-    values = counts / n_detected if n_detected > 0 else np.zeros(len(counts))
+    values = normalize(Histogram(spec, counts, n_detected=n_detected))
     report = find_extrema(values, spec, n_detected, window=window, k_sigma=k_sigma)
     return report, n_detected
 
@@ -256,13 +244,16 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser, ensemble: bool, tau: bool) -> None:
+    """--config and the overrides the subcommand reads; any other flag is an error."""
     p.add_argument("--config", metavar="PATH", help="config file (key = value lines)")
-    p.add_argument("--seed", type=int, help="override: base RNG seed")
-    p.add_argument("--workers", type=int, help="override: worker processes")
+    if ensemble:
+        p.add_argument("--seed", type=int, help="override: base RNG seed")
+        p.add_argument("--workers", type=int, help="override: worker processes")
     p.add_argument("--out", metavar="DIR", help="override: output directory")
     p.add_argument("--n", type=int, help="override: trajectory count")
-    p.add_argument("--tau", type=float, help="override: time step")
+    if tau:
+        p.add_argument("--tau", type=float, help="override: time step")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,14 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run one ensemble")
-    _add_run_flags(p)
-
-    p = sub.add_parser("sweep-tau", help="rerun across tau_list and compare")
-    _add_run_flags(p)
-
-    p = sub.add_parser("trace", help="record and draw trajectories")
-    _add_run_flags(p)
+    _add_run_flags(sub.add_parser("simulate", help="run one ensemble"),
+                   ensemble=True, tau=True)
+    # sweep-tau takes its steps from tau_list; trace sweeps its angles
+    # without a seed, in this process
+    _add_run_flags(sub.add_parser("sweep-tau", help="rerun across tau_list and compare"),
+                   ensemble=True, tau=False)
+    _add_run_flags(sub.add_parser("trace", help="record and draw trajectories"),
+                   ensemble=False, tau=True)
 
     p = sub.add_parser("analyze", help="find extrema in a distribution.csv")
     p.add_argument("csv", metavar="CSV", help="distribution file to analyze")
@@ -312,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"slitsim: i/o error: {exc}", file=sys.stderr)
         return 3
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:
         print(f"slitsim: worker process died: {exc}", file=sys.stderr)
         return 4
     except KeyboardInterrupt:

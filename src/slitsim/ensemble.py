@@ -31,12 +31,12 @@ it sat.
 from __future__ import annotations
 
 import signal
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dynamics import StepParams
-from .errors import EmptyHistogramError, SpecMismatchError
+from .errors import SpecMismatchError
 from .field import FieldParams, force_batch
 from .scattering import Geometry, check_consistent
 
@@ -146,23 +146,18 @@ def merge(a: Histogram, b: Histogram) -> Histogram:
     """Elementwise sum; commutative and associative, identity Histogram.zero."""
     if a.spec != b.spec:
         raise SpecMismatchError(f"histogram specs differ: {a.spec} vs {b.spec}")
-    return Histogram(
-        spec=a.spec,
-        counts=a.counts + b.counts,
-        n_emitted=a.n_emitted + b.n_emitted,
-        n_detected=a.n_detected + b.n_detected,
-        n_blocked=a.n_blocked + b.n_blocked,
-        n_escaped=a.n_escaped + b.n_escaped,
-        n_steplimit=a.n_steplimit + b.n_steplimit,
-        underflow=a.underflow + b.underflow,
-        overflow=a.overflow + b.overflow,
-    )
+    sums = {fd.name: getattr(a, fd.name) + getattr(b, fd.name)
+            for fd in fields(Histogram) if fd.name != "spec"}
+    return Histogram(spec=a.spec, **sums)
 
 
 def normalize(h: Histogram) -> np.ndarray:
-    """Frequencies counts / n_detected; sums to 1 minus the out-of-range share."""
+    """Frequencies counts / n_detected; sums to 1 minus the out-of-range share.
+
+    A histogram with nothing detected gives all zeros, one per bin.
+    """
     if h.n_detected <= 0:
-        raise EmptyHistogramError("no detected particles to normalize")
+        return np.zeros(h.counts.size)
     return h.counts / float(h.n_detected)
 
 
@@ -236,17 +231,14 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     fu = FieldParams(f.charge_product * (tau * (tau / sp.mass)), f.slit_half_height)
 
     idx = np.arange(n, dtype=np.int32)
-    # Rows x_a, y_a, u_x, u_y, x_b, y_b.  Positions (x, y) and (x', y')
-    # are the pairs a and b in turn, so the state a lane carries into the
-    # next step, its new position and u, is rows 0:4 or rows 2:6.
-    state = np.empty((6, n))
-    state[0] = -g.emitter_distance
-    state[1] = 0.0
+    p = np.empty((2, n))                        # (x, y)
+    p1 = np.empty((2, n))                       # (x', y')
+    u = np.empty((2, n))
+    p[0] = -g.emitter_distance
+    p[1] = 0.0
     # (v0 cos a) tau: the runner's velocity times tau, the same bits
-    np.multiply(v0 * np.cos(alphas), tau, out=state[2])
-    np.multiply(v0 * np.sin(alphas), tau, out=state[3])
-    pos, pos1 = 0, 4
-    positions = state.reshape(3, 2, n)[::2]     # pairs a and b, without u
+    np.multiply(v0 * np.cos(alphas), tau, out=u[0])
+    np.multiply(v0 * np.sin(alphas), tau, out=u[1])
 
     scratch = np.empty((2, n))
     masks = np.empty((2, n), dtype=bool)
@@ -256,9 +248,9 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             m = idx.size
             if not m:
                 break
-            x, y = state[pos:pos + 2, :m]
-            x1, y1 = state[pos1:pos1 + 2, :m]
-            ux, uy = state[2:4, :m]
+            x, y = p[:, :m]
+            x1, y1 = p1[:, :m]
+            ux, uy = u[:, :m]
             s0, s1 = scratch[:, :m]
             # The force's two temporaries live in the rows of (x', y'),
             # which are dead until the update writes them.
@@ -269,7 +261,7 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             np.add(x, ux, out=x1)
             np.add(uy, fy, out=uy)
             np.add(y, uy, out=y1)
-            pos, pos1 = pos1, pos
+            p, p1 = p1, p
 
             # Every lane: a superset of the lanes that end this step.
             near, tmp = masks[:, :m]
@@ -293,8 +285,8 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             done = np.empty(ev.size, dtype=bool)
             for lo in range(0, ev.size, _EXACT_BLOCK):
                 blk = slice(lo, lo + _EXACT_BLOCK)
-                seg = positions[..., ev[blk]]
-                (xe, ye), (x1e, y1e) = seg if pos else seg[::-1]
+                e = ev[blk]
+                xe, ye, x1e, y1e = x[e], y[e], x1[e], y1[e]
                 lam0 = xe / (xe - x1e)                  # segment fraction at x = 0
                 lam1 = (d - xe) / (x1e - xe)            # segment fraction at x = d
                 dy = y1e - ye
@@ -310,7 +302,7 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
                 esc = ((x1e < x_escape) | (np.abs(y1e) > y_bound)) & ~(blocked | det)
                 done[blk] = blocked | det | esc
                 if done[blk].any():
-                    lanes = idx[ev[blk]]
+                    lanes = idx[e]
                     codes[lanes[blocked]] = _BLOCKED
                     y_final[lanes[blocked]] = y0[blocked]
                     codes[lanes[det]] = _DETECTED
@@ -325,8 +317,8 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
                 keep = np.ones(gone.size, dtype=bool)   # places m and up
                 keep[gone[holes.size:] - m] = False
                 movers = m + np.flatnonzero(keep)
-                live = state[min(pos, 2):min(pos, 2) + 4]
-                live[:, holes] = live[:, movers]
+                for row in (x1, y1, ux, uy):
+                    row[holes] = row[movers]
                 idx[holes] = idx[movers]
                 idx = idx[:m]
 

@@ -15,7 +15,3 @@ class ConfigurationError(SlitSimError, ValueError):
 
 class SpecMismatchError(SlitSimError, ValueError):
     """Histograms with different bin layouts cannot be combined."""
-
-
-class EmptyHistogramError(SlitSimError, ValueError):
-    """Operation requires at least one detected particle."""

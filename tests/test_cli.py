@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from slitsim import ConfigurationError, cli, find_extrema, normalize, run_ensemble
+from slitsim import ConfigurationError, Histogram, cli, find_extrema, normalize, run_ensemble
 from slitsim.cli import (
     analyze_distribution,
+    build_parser,
     cmd_analyze,
     cmd_simulate,
     cmd_sweep_tau,
@@ -110,6 +111,20 @@ class TestSimulate:
         assert f"seed = {cfg.seed}" in report
         assert "n_detected" in report
 
+    def test_report_lists_tallies_in_field_order(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(output_dir=str(tmp_path / "out"), **FAST)
+        spec = build_histogram_spec(cfg)
+        hist = Histogram.zero(spec)
+        for value, name in enumerate(("n_emitted", "n_detected", "n_blocked", "n_escaped",
+                                      "n_steplimit", "underflow", "overflow"), start=101):
+            setattr(hist, name, value)
+        monkeypatch.setattr(cli, "run_ensemble", lambda *args, **kwargs: hist)
+        report = (cmd_simulate(cfg) / "report.txt").read_text().splitlines()
+        start = report.index("n_emitted = 101")
+        assert report[start:start + 8] == [
+            "n_emitted = 101", "n_detected = 102", "n_blocked = 103", "n_escaped = 104",
+            "n_steplimit = 105", "underflow = 106", "overflow = 107", ""]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg1 = ExperimentConfig(output_dir=str(tmp_path / "a"), **FAST)
         cfg2 = ExperimentConfig(output_dir=str(tmp_path / "b"), **FAST)
@@ -150,6 +165,26 @@ class TestSimulate:
         assert main(["simulate", "--n", "10", "--out", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
         assert err.startswith("slitsim: ") and err.count("\n") == 1
+
+
+class TestOverrideFlags:
+    def test_simulate_takes_all_five(self):
+        args = build_parser().parse_args(
+            ["simulate", "--seed", "3", "--workers", "2", "--out", "o", "--n", "5",
+             "--tau", "0.01"])
+        assert (args.seed, args.workers, args.out, args.n, args.tau) == (3, 2, "o", 5, 0.01)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-tau", "--tau", "0.01"],
+        ["trace", "--workers", "2"],
+        ["trace", "--seed", "3"],
+    ], ids=["sweep-tau-tau", "trace-workers", "trace-seed"])
+    def test_flag_the_subcommand_ignores_is_exit_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepTau:

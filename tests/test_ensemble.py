@@ -16,7 +16,6 @@ from slitsim import (
     Blocked,
     Detected,
     EmissionSpec,
-    EmptyHistogramError,
     Escaped,
     FieldParams,
     Geometry,
@@ -424,6 +423,17 @@ class TestMergeMonoid:
         assert np.array_equal(out.counts, ha.counts)
         assert out.n_detected == ha.n_detected
 
+    def test_sums_every_tally(self):
+        a = make_hist([1, 2, 3], n_emitted=100, n_detected=10, n_blocked=20,
+                      n_escaped=30, n_steplimit=40, underflow=1, overflow=2)
+        b = make_hist([4, 5, 6], n_emitted=1000, n_detected=300, n_blocked=200,
+                      n_escaped=400, n_steplimit=100, underflow=5, overflow=7)
+        out = merge(a, b)
+        assert np.array_equal(out.counts[:3], [5, 7, 9])
+        assert (out.n_emitted, out.n_detected, out.n_blocked, out.n_escaped,
+                out.n_steplimit, out.underflow, out.overflow) == (
+                    1100, 310, 220, 430, 140, 6, 9)
+
     def test_spec_mismatch(self):
         other = Histogram.zero(HistogramSpec(bin_width=0.5, y_min=-25.0, y_max=25.0))
         with pytest.raises(SpecMismatchError):
@@ -446,9 +456,10 @@ class TestNormalize:
         freqs = normalize(h)
         assert freqs.sum() == pytest.approx(1.0 - 20 / 80, abs=1e-12)
 
-    def test_empty_errors(self):
-        with pytest.raises(EmptyHistogramError):
-            normalize(Histogram.zero(HSPEC))
+    def test_empty_gives_zeros(self):
+        freqs = normalize(Histogram.zero(HSPEC))
+        assert freqs.dtype == np.float64
+        assert np.array_equal(freqs, np.zeros(HSPEC.n_bins))
 
     def test_golden_arrival_run(self, paper_geometry, paper_field, paper_step):
         """Regression pin for the arrival-rich configuration.

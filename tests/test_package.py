@@ -47,4 +47,4 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_import_leaves_multiprocessing_unloaded():
-    assert not loaded_after("slitsim, slitsim.config", "multiprocessing")
+    assert not loaded_after("slitsim, slitsim.cli", "multiprocessing")
