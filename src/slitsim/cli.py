@@ -201,16 +201,16 @@ def analyze_distribution(path: Path, window: int, k_sigma: float) -> tuple[Extre
         raise ConfigurationError(f"{path}: bin centers are not evenly spaced")
     total_count = int(counts.sum())
     total_freq = float(freqs.sum())
-    if total_freq > 0:
-        n_detected = int(round(total_count / total_freq))
-    elif total_count == 0:
-        n_detected = 0
-    else:
-        raise ConfigurationError(f"{path}: nonzero counts but zero frequencies")
+    # frequencies sum to 0 or to at least 1 / n_detected, and n_detected < 2**62
+    n_detected = round(total_count / total_freq) if total_freq > 2.0 ** -62 else 0
+    if (counts < 0).any() or total_count > n_detected:
+        raise ConfigurationError(f"{path}: counts are negative or exceed n_detected")
     y_min = float(centers[0]) - 0.5 * width
     spec = HistogramSpec(bin_width=width, y_min=y_min,
                          y_max=y_min + width * len(centers))
     values = normalize(Histogram(spec, counts, n_detected=n_detected))
+    if not np.array_equal(values, freqs):
+        raise ConfigurationError(f"{path}: frequencies are not count / n_detected")
     report = find_extrema(values, spec, n_detected, window=window, k_sigma=k_sigma)
     return report, n_detected
 

@@ -201,22 +201,23 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     the working arrays in the step it finishes; lanes still running
     after max_steps keep their initial step-limit code.
 
-    The state is x, y and u = tau * v per lane.  A step is
-    u += (tau^2 / m) F(x, y), then x' = x + u: the map of
-    `dynamics.step_discrete` in four array passes instead of eight.  The
-    rows of (x, y) and (x', y') swap names after each step instead of
-    being copied.
+    The state is the pairs (x, y) and u = tau * v, each a (2, n) array.  A
+    step is u += (tau^2 / m) F(x, y), then x' = x + u: the map of
+    `dynamics.step_discrete` in two passes over the pairs.  (x, y) and
+    (x', y') swap names after each step instead of being copied.
 
     Each step tests every lane for x*x' <= 0, x' >= d, x' < x_escape or
     |y'| > y_bound.  No other lane can end in that step, so the exact
     crossing rule (the float operations of `scattering._segment_event`)
     runs on the flagged lanes only, gathered _EXACT_BLOCK at a time so its
     temporaries do not grow with the lanes flagged in one step, and gives
-    the bits it would give on all of them.  A lane that ends leaves a
-    hole below m, the running count after the step, and a running lane
-    from places m and up moves into it with its index, so retiring costs
-    time in proportion to the lanes retired.  Every operation is
-    elementwise, so this reordering moves no bit of a result.
+    the bits it would give on all of them.  Where a step ends a lane more
+    than one way, the precedence (screen, then detector, then escape) is
+    the write order: escape codes first, screen blocks last.  A lane that
+    ends leaves a hole below m, the running count after the step, and a
+    running lane from places m and up moves into it with its index, so
+    retiring costs time in proportion to the lanes retired.  Every
+    operation is elementwise, so this reordering moves no bit of a result.
     """
     n = alphas.size
     codes = np.full(n, _STEPLIMIT, dtype=np.uint8)
@@ -248,23 +249,21 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             m = idx.size
             if not m:
                 break
-            x, y = p[:, :m]
-            x1, y1 = p1[:, :m]
-            ux, uy = u[:, :m]
-            s0, s1 = scratch[:, :m]
+            P, P1, U, F = p[:, :m], p1[:, :m], u[:, :m], scratch[:, :m]
+            x, y = P
+            x1, y1 = P1
             # The force's two temporaries live in the rows of (x', y'),
             # which are dead until the update writes them.
-            fx, fy = force_batch(x, y, fu, out=(s0, s1, x1, y1))
+            force_batch(x, y, fu, out=(F[0], F[1], x1, y1))
 
             # u first, then the position from the new u
-            np.add(ux, fx, out=ux)
-            np.add(x, ux, out=x1)
-            np.add(uy, fy, out=uy)
-            np.add(y, uy, out=y1)
+            np.add(U, F, out=U)
+            np.add(P, U, out=P1)
             p, p1 = p1, p
 
             # Every lane: a superset of the lanes that end this step.
             near, tmp = masks[:, :m]
+            s0 = F[0]                                   # F is dead after the update
             np.multiply(x, x1, out=s0)
             np.less_equal(s0, 0.0, out=near)            # on or across x = 0
             np.greater_equal(x1, d, out=tmp)
@@ -282,42 +281,42 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             # Flagged lanes only, in blocks of _EXACT_BLOCK so that the
             # temporaries stay bounded when a whole front crosses the screen:
             # `scattering._segment_event` on (xe, ye) -> (x1e, y1e).
-            done = np.empty(ev.size, dtype=bool)
+            finished = []
             for lo in range(0, ev.size, _EXACT_BLOCK):
-                blk = slice(lo, lo + _EXACT_BLOCK)
-                e = ev[blk]
+                e = ev[lo:lo + _EXACT_BLOCK]
+                # row by row: numpy's P[:, e] costs 3-5x as much as x[e], y[e]
                 xe, ye, x1e, y1e = x[e], y[e], x1[e], y1[e]
-                lam0 = xe / (xe - x1e)                  # segment fraction at x = 0
-                lam1 = (d - xe) / (x1e - xe)            # segment fraction at x = d
-                dy = y1e - ye
-                y0 = ye + lam0 * dy                     # y at x = 0
-                yd = ye + lam1 * dy                     # y at x = d
+                # Segment fractions at x = 0 and x = d.  Row 1 negates the
+                # reference's (d - xe) / (x1e - xe) above and below, exactly in
+                # IEEE except where xe == x1e or xe == d; it is read only where
+                # xe < d <= x1e.
+                lam = (xe - [[0.0], [d]]) / (xe - x1e)
+                y0, yd = ye + lam * (y1e - ye)          # y at x = 0 and x = d
                 crosses = ((xe < 0.0) & (x1e >= 0.0)) | ((xe > 0.0) & (x1e <= 0.0))
-                blocked = crosses & (np.abs(y0) >= aperture)
                 det = x1e >= d
-                # Same-segment double crossing: the earlier event wins, and
-                # a pass through the slit does not cancel a later detector hit.
-                blocked &= ~det | (lam0 <= lam1)
-                det &= ~blocked
-                esc = ((x1e < x_escape) | (np.abs(y1e) > y_bound)) & ~(blocked | det)
-                done[blk] = blocked | det | esc
-                if done[blk].any():
+                # a pass through the slit does not cancel a later detector hit
+                blocked = crosses & (np.abs(y0) >= aperture) & (~det | (lam[0] <= lam[1]))
+                esc = (x1e < x_escape) | (np.abs(y1e) > y_bound)
+                ended = blocked | det | esc
+                if ended.any():
+                    # The last write wins: screen, then detector, then escape.
                     lanes = idx[e]
-                    codes[lanes[blocked]] = _BLOCKED
-                    y_final[lanes[blocked]] = y0[blocked]
+                    codes[lanes[esc]] = _ESCAPED
                     codes[lanes[det]] = _DETECTED
                     y_final[lanes[det]] = yd[det]
-                    codes[lanes[esc]] = _ESCAPED
-            if done.any():
+                    codes[lanes[blocked]] = _BLOCKED
+                    y_final[lanes[blocked]] = y0[blocked]
+                    finished.append(e[ended])
+            if finished:
                 # Swap-out: running lanes from places m and up fill the
                 # holes finished lanes leave below m, the new running count.
-                gone = ev[done]
+                gone = np.concatenate(finished)
                 m -= gone.size
                 holes = gone[gone < m]
                 keep = np.ones(gone.size, dtype=bool)   # places m and up
                 keep[gone[holes.size:] - m] = False
                 movers = m + np.flatnonzero(keep)
-                for row in (x1, y1, ux, uy):
+                for row in (*P1, *U):                   # row by row, as the gather
                     row[holes] = row[movers]
                 idx[holes] = idx[movers]
                 idx = idx[:m]

@@ -1,0 +1,68 @@
+"""Print one `case sha256` line per kernel case, to compare two trees.
+
+The hash covers `codes.tobytes() + y_final.tobytes()` from
+`ensemble.simulate_batch` on 36 cases:
+
+  * the 12 kernel-grid cases: v0 {12, 15} x tau {0.05, 0.01, 0.001} x
+    mode {random, sweep}, 16384 lanes, seed 1;
+  * 20 step-limited batches: v0 {12, 15} x tau {0.05, 0.01} x
+    max_steps {1, 7, 30, 60, 100}, 4096 lanes, seed 3;
+  * 4 repulsive-screen sweeps (charge product +4, v0 15) at
+    tau {0.5, 0.3, 0.1, 0.05}, 16384 lanes.
+
+A change that should move no output bit prints the same lines before
+and after it:
+
+    PYTHONPATH=src python3 tests/kernel_bits.py > after.txt
+    (in a checkout of the parent) PYTHONPATH=src python3 tests/kernel_bits.py > before.txt
+    diff before.txt after.txt
+
+The file name keeps it out of pytest's collection.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from slitsim.config import (
+    ExperimentConfig,
+    build_emission,
+    build_field,
+    build_geometry,
+    build_step,
+    with_overrides,
+)
+from slitsim.ensemble import emission_angles, simulate_batch
+
+
+def cases():
+    base = ExperimentConfig()
+    for v0 in (12.0, 15.0):
+        for tau in (0.05, 0.01, 0.001):
+            for mode in ("random", "sweep"):
+                yield (f"grid v0={v0:g} tau={tau:g} {mode}",
+                       with_overrides(base, v0=v0, tau=tau, mode=mode,
+                                      n=16384, seed=1))
+    for v0 in (12.0, 15.0):
+        for tau in (0.05, 0.01):
+            for max_steps in (1, 7, 30, 60, 100):
+                yield (f"steplimit v0={v0:g} tau={tau:g} max_steps={max_steps}",
+                       with_overrides(base, v0=v0, tau=tau, n=4096, seed=3,
+                                      max_steps=max_steps))
+    for tau in (0.5, 0.3, 0.1, 0.05):
+        yield (f"repulsive+4 v0=15 tau={tau:g} sweep",
+               with_overrides(base, charge_product=4.0, v0=15.0, tau=tau,
+                              mode="sweep", n=16384))
+
+
+def digest(cfg: ExperimentConfig) -> str:
+    e = build_emission(cfg)
+    codes, y_final = simulate_batch(emission_angles(e, 0, e.n), e.v0,
+                                    build_geometry(cfg), build_field(cfg),
+                                    build_step(cfg))
+    return hashlib.sha256(codes.tobytes() + y_final.tobytes()).hexdigest()
+
+
+if __name__ == "__main__":
+    for name, cfg in cases():
+        print(name, digest(cfg), flush=True)

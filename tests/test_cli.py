@@ -294,6 +294,36 @@ class TestAnalyze:
     def test_missing_csv_is_exit_3(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 3
 
+    @pytest.mark.parametrize("counts, freqs", [
+        ([0, 0, -3, 5, 2, 0, 0], [0, 0, 0.5, 0.5, 0, 0, 0]),
+        ([0, 1, 2, 1, 0], [0, 0.5, 0.25, 0.25, 0]),
+        ([0, 1, 2, 1, 0], [0, 0.25, 0.5, 0.25, 1e-17]),
+        ([0, 0, 0, 0, 0], [0, 0.5, -0.5, 0, 0]),
+        ([0, 1, 2, 1, 0], [0, 0, 0, 0, 0]),
+        ([0, 4, 4, 4, 0], [0, 0.5, 0.5, 0.5, 0]),
+        ([0, 0, 1, 0, 0], [0, 0, 5e-324, 0, 0]),
+    ], ids=["negative-count", "not-count-over-n", "empty-bin-frequency",
+            "frequencies-without-detections", "counts-without-frequencies",
+            "counts-above-n-detected", "subnormal-frequency"])
+    def test_file_never_written_is_exit_2(self, tmp_path, counts, freqs):
+        lines = ["bin_center,count,frequency"]
+        lines += [f"{i - 2.0!r},{c},{f!r}" for i, (c, f) in enumerate(zip(counts, freqs))]
+        csv = tmp_path / "dist.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(csv)]) == 2
+        assert not (tmp_path / "extrema.csv").exists()
+
+    @pytest.mark.parametrize("config", ["arrivals.cfg", "canonical.cfg"])
+    def test_simulated_distribution_is_exit_0(self, tmp_path, config):
+        """Both shipped configs' histograms pass the checks; canonical.cfg's
+        is empty, with all-zero frequencies."""
+        cfg = Path(__file__).resolve().parents[1] / "configs" / config
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["analyze", str(tmp_path / "distribution.csv")]) == 0
+        extrema = (tmp_path / "extrema.csv").read_text().splitlines()
+        assert extrema[0] == "kind,bin_center,height,prominence"
+        assert (len(extrema) > 1) == (config == "arrivals.cfg")
+
     def test_round_trip_matches_library(self, tmp_path):
         """Analyzing the emitted CSV reproduces the in-memory analysis."""
         cfg = ExperimentConfig(output_dir=str(tmp_path / "rt"), v0=15.0,

@@ -248,11 +248,12 @@ class TestDeterminism:
         operation is the same, so kernel and runner agree bit for bit.
 
         The grid covers all four outcomes, a first step that lands exactly
-        on x = 0 (v0 5, tau 1, alpha 0), and blocks and detector hits on a
-        segment that also crosses the screen plane.
+        on x = 0 (v0 5, tau 1, alpha 0), blocks and detector hits on a
+        segment that also crosses the screen plane, and blocks and detector
+        hits on a segment that also leaves the escape bounds.
         """
         alphas = np.radians(np.append(np.linspace(-179.0, 179.0, 181), 0.0))
-        codes, y_final, want_codes, want_y, both_planes = [], [], [], [], []
+        codes, y_final, want_codes, want_y, both_planes, leaves = [], [], [], [], [], []
         for tau in (0.05, 0.3, 1.0, 2.5, 7.0):
             step = StepParams(tau=tau)
             for max_steps in (1000, 3):
@@ -275,14 +276,20 @@ class TestDeterminism:
                         x_end = -geometry.emitter_distance + rec.steps_taken * dx
                         both_planes.append(x_end - dx < 0.0
                                            and x_end >= geometry.screen_gap)
+                        y_end = rec.steps_taken * tau * v0 * math.sin(a)
+                        leaves.append(x_end < geometry.x_escape
+                                      or abs(y_end) > geometry.y_bound)
         codes = np.concatenate(codes)
         y_final = np.concatenate(y_final)
         want_codes = np.array(want_codes, dtype=np.uint8)
         want_y = np.array(want_y)
         both_planes = np.array(both_planes)
+        leaves = np.array(leaves)
         assert set(want_codes.tolist()) == {1, 2, 3, 4}
         assert np.any(both_planes & (want_codes == 1))
         assert np.any(both_planes & (want_codes == 2))
+        assert np.any(leaves & (want_codes == 1))
+        assert np.any(leaves & (want_codes == 2))
         assert int((codes != want_codes).sum()) == 0
         assert int((y_final.view(np.int64) != want_y.view(np.int64)).sum()) == 0
 
