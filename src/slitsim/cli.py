@@ -90,13 +90,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> Path:
 
 def cmd_sweep_tau(cfg: ExperimentConfig) -> Path:
     """Run the ensemble once per tau in tau_list and compare the profiles."""
-    taus = cfg.tau_list
-    if not taus:
-        raise ConfigurationError("tau_list must be non-empty")
-    if any(b > a for a, b in zip(taus, taus[1:])):
-        raise ConfigurationError("tau_list must be descending")
     first: dict[str, float] = {}
-    for tau in taus:
+    for tau in cfg.tau_list:
         name = f"distribution_tau{tau:g}.csv"
         if first.setdefault(name, tau) != tau:
             raise ConfigurationError(
@@ -104,7 +99,7 @@ def cmd_sweep_tau(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.output_dir)
     t0 = time.perf_counter()
     results: list[tuple[float, Histogram, np.ndarray]] = []
-    for tau in taus:
+    for tau in cfg.tau_list:
         hist = run_ensemble(build_emission(cfg), build_geometry(cfg),
                             build_field(cfg), build_step(cfg, tau=tau),
                             build_histogram_spec(cfg), workers=cfg.workers)
@@ -136,17 +131,16 @@ def cmd_sweep_tau(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def cmd_trace(cfg: ExperimentConfig, n_trajectories: int) -> Path:
-    """Record a swept-angle bundle of trajectories as CSV and SVG."""
-    if n_trajectories < 1:
-        raise ConfigurationError("trace needs at least one trajectory")
+def cmd_trace(cfg: ExperimentConfig) -> Path:
+    """Record a swept-angle bundle of cfg.n trajectories as CSV and SVG."""
+    cfg = with_overrides(cfg, mode="sweep")
     out = Path(cfg.output_dir)
     t0 = time.perf_counter()
-    emission = build_emission(cfg, n=n_trajectories, mode="sweep")
+    emission = build_emission(cfg)
     geom = build_geometry(cfg)
     fld = build_field(cfg)
     step = build_step(cfg)
-    angles = emission_angles(emission, 0, n_trajectories)
+    angles = emission_angles(emission, 0, cfg.n)
 
     # One full path at a time: its CSV rows are written as it finishes,
     # and only its thinned sketch is kept for the picture.
@@ -164,7 +158,7 @@ def cmd_trace(cfg: ExperimentConfig, n_trajectories: int) -> Path:
 
     wall = time.perf_counter() - t0
     outcomes = [type(sk.outcome).__name__ for sk in sketches]
-    body = [f"trajectories = {n_trajectories}"]
+    body = [f"trajectories = {cfg.n}"]
     for name in ("Blocked", "Detected", "Escaped", "StepLimit"):
         body.append(f"{name.lower()} = {outcomes.count(name)}")
     _write_text(out / "report.txt", _report_text(cfg, body, wall))
@@ -189,7 +183,10 @@ def _read_distribution(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             freqs.append(float(parts[2]))
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: {exc}")
-    return np.array(centers), np.array(counts, dtype=np.int64), np.array(freqs)
+    try:
+        return np.array(centers), np.array(counts, dtype=np.int64), np.array(freqs)
+    except OverflowError:
+        raise ConfigurationError(f"{path}: a count does not fit in 64 bits")
 
 
 def analyze_distribution(path: Path, window: int, k_sigma: float) -> tuple[ExtremaReport, int]:
@@ -272,13 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
     # without a seed, in this process
     _add_run_flags(sub.add_parser("sweep-tau", help="rerun across tau_list and compare"),
                    ensemble=True, tau=False)
-    _add_run_flags(sub.add_parser("trace", help="record and draw trajectories"),
-                   ensemble=False, tau=True)
+    p = sub.add_parser("trace", help="record and draw trajectories (n = 250 unless --n)")
+    _add_run_flags(p, ensemble=False, tau=True)
+    p.set_defaults(n=250)
 
     p = sub.add_parser("analyze", help="find extrema in a distribution.csv")
     p.add_argument("csv", metavar="CSV", help="distribution file to analyze")
-    p.add_argument("--window", type=int, default=5, help="smoothing window (odd)")
-    p.add_argument("--k-sigma", type=float, default=5.0,
+    p.add_argument("--window", type=int, default=ExperimentConfig.window,
+                   help="smoothing window (odd)")
+    p.add_argument("--k-sigma", type=float, default=ExperimentConfig.k_sigma,
                    help="prominence threshold in Poisson sigmas")
     p.add_argument("--out", metavar="DIR", help="where to write extrema.csv")
     return parser
@@ -292,8 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sweep-tau":
             cmd_sweep_tau(_load_config(args))
         elif args.command == "trace":
-            cfg = _load_config(args)
-            cmd_trace(cfg, n_trajectories=args.n if args.n else 250)
+            cmd_trace(_load_config(args))
         elif args.command == "analyze":
             cmd_analyze(Path(args.csv), args.window, args.k_sigma,
                         Path(args.out) if args.out else None)

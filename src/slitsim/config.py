@@ -26,7 +26,8 @@ class ExperimentConfig:
     emitter 5 units left of the screen, detector 25 to the right, slit
     half-height 5, attracting screen (charge product -1), particle radius
     0.2, speed 12, angles within +/-45.5 degrees, detector cells of one
-    particle diameter."""
+    particle diameter.  Construction checks every value, so a config that
+    exists is valid."""
 
     charge_product: float = -1.0
     slit_half_height: float = 5.0
@@ -52,12 +53,38 @@ class ExperimentConfig:
     window: int = 5
     k_sigma: float = 5.0
 
+    def __post_init__(self) -> None:
+        """Check every run parameter; raises ConfigurationError."""
+        try:
+            numbers = [(key, getattr(self, key)) for key, parse in _PARSERS.items()
+                       if parse is float]
+            numbers += [("tau_list", tau) for tau in self.tau_list]
+            for key, val in numbers:
+                if not math.isfinite(val):
+                    raise ValueError(f"{key} must be finite")
+            if not self.tau_list:
+                raise ValueError("tau_list must be non-empty")
+            if any(b > a for a, b in zip(self.tau_list, self.tau_list[1:])):
+                raise ValueError("tau_list must be descending")
+            build_field(self)
+            build_geometry(self)
+            build_step(self)
+            build_emission(self)
+            build_histogram_spec(self)
+            for tau in self.tau_list:
+                StepParams(tau=tau, mass=self.mass)
+            if self.workers < 1:
+                raise ValueError("workers must be >= 1")
+            if self.window < 1 or self.window % 2 == 0:
+                raise ValueError("window must be odd and >= 1")
+            if not (self.k_sigma > 0):
+                raise ValueError("k_sigma must be > 0")
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
+
 
 def _parse_tau_list(text: str) -> tuple[float, ...]:
-    vals = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    if not vals:
-        raise ValueError("empty tau_list")
-    return vals
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
 # Each key's parser is its field's type, except for the list form of tau_list.
@@ -90,39 +117,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             values[key] = _PARSERS[key](val)
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: bad value for {key}: {exc}")
-    cfg = ExperimentConfig(**values)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Re-run every component invariant; raises ConfigurationError."""
-    try:
-        build_field(cfg)
-        build_geometry(cfg)
-        build_step(cfg)
-        build_emission(cfg)
-        build_histogram_spec(cfg)
-        for tau in cfg.tau_list:
-            StepParams(tau=tau, mass=cfg.mass)
-        if cfg.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if cfg.window < 1 or cfg.window % 2 == 0:
-            raise ValueError("window must be odd and >= 1")
-        if not (cfg.k_sigma > 0):
-            raise ValueError("k_sigma must be > 0")
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    return ExperimentConfig(**values)
 
 
 def with_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
     """Apply non-None CLI overrides on top of a config."""
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    if not changes:
-        return cfg
-    cfg = replace(cfg, **changes)
-    validate_config(cfg)
-    return cfg
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def build_field(cfg: ExperimentConfig) -> FieldParams:

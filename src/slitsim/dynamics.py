@@ -21,6 +21,7 @@ for the tau -> 0 limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .field import FieldParams, Vec2, _check_point, _force_scalar, potential
@@ -43,10 +44,10 @@ class StepParams:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.tau > 0):
-            raise ValueError("tau must be > 0")
-        if not (self.mass > 0):
-            raise ValueError("mass must be > 0")
+        if not (0 < self.tau < math.inf):
+            raise ValueError("tau must be finite and > 0")
+        if not (0 < self.mass < math.inf):
+            raise ValueError("mass must be finite and > 0")
 
 
 def step_discrete(s: ParticleState, params: FieldParams, sp: StepParams) -> ParticleState:

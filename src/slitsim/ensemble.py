@@ -30,6 +30,7 @@ it sat.
 
 from __future__ import annotations
 
+import math
 import signal
 from dataclasses import dataclass, fields
 
@@ -67,10 +68,10 @@ class EmissionSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.v0 > 0):
-            raise ValueError("v0 must be > 0")
-        if not (self.alpha_min < self.alpha_max):
-            raise ValueError("alpha_min must be < alpha_max")
+        if not (0 < self.v0 < math.inf):
+            raise ValueError("v0 must be finite and > 0")
+        if not (-math.inf < self.alpha_min < self.alpha_max < math.inf):
+            raise ValueError("alpha_min must be < alpha_max, both finite")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.mode not in ("random", "sweep"):

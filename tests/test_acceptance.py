@@ -270,9 +270,9 @@ def test_criterion_7_trace_reproduction(tmp_path):
     t0 = time.perf_counter()
     results = {}
     for tau in (0.05, 0.01):
-        cfg = ExperimentConfig(tau=tau, seed=SEED,
+        cfg = ExperimentConfig(tau=tau, seed=SEED, n=250,
                                output_dir=str(tmp_path / f"tau{tau:g}"))
-        out = cmd_trace(cfg, n_trajectories=250)
+        out = cmd_trace(cfg)
         svg = (out / "trajectories.svg").read_text()
         n_paths = svg.count("<polyline")
         detected = 0

@@ -2,6 +2,7 @@
 
 import math
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,31 @@ class TestConfigParsing:
     def test_overrides(self):
         cfg = with_overrides(ExperimentConfig(), seed=77, n=123, tau=None)
         assert cfg.seed == 77 and cfg.n == 123 and cfg.tau == 0.05
+
+    @pytest.mark.parametrize("bad", [
+        dict(tau_list=()), dict(tau_list=(0.05, math.inf)), dict(v0=math.nan),
+        dict(y_max=math.inf), dict(workers=0),
+    ], ids=["empty-tau-list", "infinite-tau-list-entry", "nan-v0", "infinite-y-max",
+            "no-workers"])
+    def test_invalid_config_cannot_be_built(self, bad):
+        """Construction, replace and with_overrides all check every value."""
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(**bad)
+        with pytest.raises(ConfigurationError):
+            replace(ExperimentConfig(), **bad)
+        with pytest.raises(ConfigurationError):
+            with_overrides(ExperimentConfig(), **bad)
+
+    @pytest.mark.parametrize("key, flags", [
+        ("v0", []), ("alpha_max_deg", []), ("y_max", []), ("tau", ["--tau", "inf"]),
+    ], ids=["v0", "alpha_max_deg", "y_max", "tau-flag"])
+    def test_non_finite_value_is_exit_2(self, tmp_path, capsys, key, flags):
+        in_file = {} if flags else {key: "inf"}
+        path = write_config(tmp_path, n=20, max_steps=200, **in_file)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), *flags, "--out", str(out)]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_echo_parses_back_to_the_same_config(self, tmp_path):
         cfg = ExperimentConfig(tau_list=(0.001000001, 0.001, 1e-05))
@@ -239,16 +265,15 @@ class TestSweepTau:
         assert not out.exists()
 
     def test_ascending_list_rejected(self, tmp_path):
-        cfg = ExperimentConfig(output_dir=str(tmp_path / "x"),
-                               tau_list=(0.01, 0.05), **FAST)
         with pytest.raises(ConfigurationError, match="descending"):
-            cmd_sweep_tau(cfg)
+            cmd_sweep_tau(ExperimentConfig(output_dir=str(tmp_path / "x"),
+                                           tau_list=(0.01, 0.05), **FAST))
 
 
 class TestTrace:
     def test_single_axial_trace(self, tmp_path):
-        cfg = ExperimentConfig(output_dir=str(tmp_path / "trace"), v0=15.0, seed=1)
-        out = cmd_trace(cfg, n_trajectories=1)
+        cfg = ExperimentConfig(output_dir=str(tmp_path / "trace"), v0=15.0, n=1, seed=1)
+        out = cmd_trace(cfg)
         rows = (out / "trajectories.csv").read_text().strip().splitlines()
         assert rows[0] == "traj_id,t,x,y"
         ys = {float(r.split(",")[3]) for r in rows[1:]}
@@ -256,10 +281,21 @@ class TestTrace:
         svg = (out / "trajectories.svg").read_text()
         assert svg.count("<polyline") == 1
 
+    def test_report_echoes_the_run(self, tmp_path):
+        """Without --n, trace runs 250 swept angles and its report says so."""
+        path = write_config(tmp_path, v0=15.0, tau=0.5, n=100000, mode="random")
+        out = tmp_path / "out"
+        assert main(["trace", "--config", str(path), "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text().splitlines()
+        assert "trajectories = 250" in report
+        assert {"  n = 250", "  mode = sweep"} <= set(report)
+        assert main(["trace", "--config", str(path), "--n", "0",
+                     "--out", str(tmp_path / "none")]) == 2
+
     def test_bundle_counts(self, tmp_path):
         cfg = ExperimentConfig(output_dir=str(tmp_path / "bundle"), v0=15.0,
                                n=40, seed=1)
-        out = cmd_trace(cfg, n_trajectories=40)
+        out = cmd_trace(cfg)
         svg = (out / "trajectories.svg").read_text()
         assert svg.count("<polyline") == 40
         rows = (out / "trajectories.csv").read_text().strip().splitlines()[1:]
@@ -302,9 +338,10 @@ class TestAnalyze:
         ([0, 1, 2, 1, 0], [0, 0, 0, 0, 0]),
         ([0, 4, 4, 4, 0], [0, 0.5, 0.5, 0.5, 0]),
         ([0, 0, 1, 0, 0], [0, 0, 5e-324, 0, 0]),
+        ([0, 0, 10**20, 0, 0], [0, 0, 1, 0, 0]),
     ], ids=["negative-count", "not-count-over-n", "empty-bin-frequency",
             "frequencies-without-detections", "counts-without-frequencies",
-            "counts-above-n-detected", "subnormal-frequency"])
+            "counts-above-n-detected", "subnormal-frequency", "count-past-int64"])
     def test_file_never_written_is_exit_2(self, tmp_path, counts, freqs):
         lines = ["bin_center,count,frequency"]
         lines += [f"{i - 2.0!r},{c},{f!r}" for i, (c, f) in enumerate(zip(counts, freqs))]

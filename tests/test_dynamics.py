@@ -108,6 +108,10 @@ class TestStepDiscrete:
             StepParams(tau=0.0)
         with pytest.raises(ValueError):
             StepParams(tau=0.05, mass=-1.0)
+        with pytest.raises(ValueError):
+            StepParams(tau=math.inf)
+        with pytest.raises(ValueError):
+            StepParams(tau=0.05, mass=math.nan)
 
     def test_screen_surface_error_propagates(self):
         s = ParticleState(Vec2(0.0, 6.0), Vec2(1.0, 0.0), 0.0)

@@ -4,7 +4,7 @@ import concurrent.futures
 import math
 import signal
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -95,6 +95,10 @@ class TestEmissionAngles:
             EmissionSpec(v0=1.0, alpha_min=1.0, alpha_max=-1.0, n=10)
         with pytest.raises(ValueError):
             EmissionSpec(v0=0.0, alpha_min=-1.0, alpha_max=1.0, n=10)
+        with pytest.raises(ValueError):
+            EmissionSpec(v0=math.inf, alpha_min=-1.0, alpha_max=1.0, n=10)
+        with pytest.raises(ValueError):
+            EmissionSpec(v0=1.0, alpha_min=-1.0, alpha_max=math.inf, n=10)
         with pytest.raises(ValueError):
             EmissionSpec(v0=1.0, alpha_min=-1.0, alpha_max=1.0, n=0)
         with pytest.raises(ValueError):
@@ -332,6 +336,25 @@ class TestDeterminism:
         split_y = np.concatenate([y for _, y in pieces])
         assert np.array_equal(split_codes, codes)
         assert np.array_equal(split_y.view(np.int64), y_final.view(np.int64))
+
+    def test_chunk_size_invariance(self, monkeypatch, paper_geometry, paper_field,
+                                   paper_step):
+        """Every histogram field is the same for any chunk size and worker count."""
+        e = EmissionSpec(v0=15.0, alpha_min=math.radians(-45.5),
+                         alpha_max=math.radians(45.5), n=20_000, seed=6)
+        results = []
+        for chunk_size in (1_000, 7_919, CHUNK_SIZE):
+            monkeypatch.setattr(ensemble, "CHUNK_SIZE", chunk_size)
+            for workers in (1, 2):
+                results.append(run_ensemble(e, paper_geometry, paper_field,
+                                            paper_step, HSPEC, workers=workers))
+        base = results[0]
+        assert 0 < base.n_detected < base.n_emitted
+        for h in results[1:]:
+            assert np.array_equal(h.counts, base.counts)
+            for fd in fields(Histogram):
+                if fd.name != "counts":
+                    assert getattr(h, fd.name) == getattr(base, fd.name), fd.name
 
     @pytest.mark.parametrize("max_steps", [60, 1_000_000])
     def test_exact_stage_blocks_move_no_bit(self, monkeypatch, paper_geometry,
