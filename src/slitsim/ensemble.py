@@ -212,13 +212,15 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     crossing rule (the float operations of `scattering._segment_event`)
     runs on the flagged lanes only, gathered _EXACT_BLOCK at a time so its
     temporaries do not grow with the lanes flagged in one step, and gives
-    the bits it would give on all of them.  Where a step ends a lane more
-    than one way, the precedence (screen, then detector, then escape) is
-    the write order: escape codes first, screen blocks last.  A lane that
-    ends leaves a hole below m, the running count after the step, and a
-    running lane from places m and up moves into it with its index, so
-    retiring costs time in proportion to the lanes retired.  Every
-    operation is elementwise, so this reordering moves no bit of a result.
+    the bits it would give on all of them.  The screen plane comes first:
+    a segment that crosses x = 0 at |y| >= aperture is blocked there, and
+    only a segment that is not blocked can be detected at x = d.  So the
+    precedence (screen, then detector, then escape) is the write order:
+    escape codes first, screen blocks last.  A lane that ends leaves a
+    hole below m, the running count after the step, and a running lane
+    from places m and up moves into it with its index, so retiring costs
+    time in proportion to the lanes retired.  Every operation is
+    elementwise, so this reordering moves no bit of a result.
     """
     n = alphas.size
     codes = np.full(n, _STEPLIMIT, dtype=np.uint8)
@@ -276,9 +278,6 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             near |= tmp
             ev = np.flatnonzero(near)
 
-            if not ev.size:
-                continue
-
             # Flagged lanes only, in blocks of _EXACT_BLOCK so that the
             # temporaries stay bounded when a whole front crosses the screen:
             # `scattering._segment_event` on (xe, ye) -> (x1e, y1e).
@@ -295,8 +294,7 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
                 y0, yd = ye + lam * (y1e - ye)          # y at x = 0 and x = d
                 crosses = ((xe < 0.0) & (x1e >= 0.0)) | ((xe > 0.0) & (x1e <= 0.0))
                 det = x1e >= d
-                # a pass through the slit does not cancel a later detector hit
-                blocked = crosses & (np.abs(y0) >= aperture) & (~det | (lam[0] <= lam[1]))
+                blocked = crosses & (np.abs(y0) >= aperture)
                 esc = (x1e < x_escape) | (np.abs(y1e) > y_bound)
                 ended = blocked | det | esc
                 if ended.any():

@@ -99,25 +99,21 @@ def check_consistent(g: Geometry, f: FieldParams) -> None:
 
 def _segment_event(x0: float, y0: float, x1: float, y1: float,
                    aperture: float, detector_x: float):
-    """Earliest terminal event on the segment (x0,y0) -> (x1,y1).
+    """Terminal event on the segment (x0,y0) -> (x1,y1), or None.
 
-    Returns ("blocked", y, lam), ("detected", y, lam) or None.  A screen
-    crossing inside the aperture is a pass-through, not an event, so a
-    later detector crossing on the same segment still terminates it.
+    Returns ("blocked", y, lam) or ("detected", y, lam), lam the segment
+    fraction.  The screen plane comes first: a segment that crosses x = 0
+    at |y| >= aperture is blocked there, and only a segment that is not
+    blocked can be detected at x = detector_x.
     """
-    events = []
     if (x0 < 0.0 and x1 >= 0.0) or (x0 > 0.0 and x1 <= 0.0):
-        events.append((x0 / (x0 - x1), "plane"))
-    if x0 < detector_x <= x1:
-        events.append(((detector_x - x0) / (x1 - x0), "detector"))
-    events.sort()
-    for lam, kind in events:
+        lam = x0 / (x0 - x1)
         yc = y0 + lam * (y1 - y0)
-        if kind == "plane":
-            if abs(yc) >= aperture:
-                return ("blocked", yc, lam)
-        else:
-            return ("detected", yc, lam)
+        if abs(yc) >= aperture:
+            return ("blocked", yc, lam)
+    if x0 < detector_x <= x1:
+        lam = (detector_x - x0) / (x1 - x0)
+        return ("detected", y0 + lam * (y1 - y0), lam)
     return None
 
 
@@ -127,12 +123,6 @@ def _emission_state(alpha: float, v0: float, g: Geometry) -> ParticleState:
         vel=Vec2(v0 * math.cos(alpha), v0 * math.sin(alpha)),
         t=0.0,
     )
-
-
-def _interp_state(s0: ParticleState, s1: ParticleState, lam: float, y: float,
-                  x: float) -> ParticleState:
-    return ParticleState(pos=Vec2(x, y), vel=s1.vel,
-                         t=s0.t + lam * (s1.t - s0.t))
 
 
 def _run(s: ParticleState, advance, g: Geometry, record: bool) -> TrajectoryRecord:
@@ -146,13 +136,13 @@ def _run(s: ParticleState, advance, g: Geometry, record: bool) -> TrajectoryReco
                             aperture, d)
         if ev is not None:
             kind, yc, lam = ev
+            t = cur.t + lam * (nxt.t - cur.t)
             if record:
                 xc = 0.0 if kind == "blocked" else d
-                path.append(_interp_state(cur, nxt, lam, yc, xc))
+                path.append(ParticleState(pos=Vec2(xc, yc), vel=nxt.vel, t=t))
             if kind == "blocked":
                 return TrajectoryRecord(Blocked(y_impact=yc), path, step)
-            return TrajectoryRecord(
-                Detected(y_hit=yc, t_hit=cur.t + lam * (nxt.t - cur.t)), path, step)
+            return TrajectoryRecord(Detected(y_hit=yc, t_hit=t), path, step)
         if record:
             path.append(nxt)
         if abs(nxt.pos[1]) > g.y_bound or nxt.pos[0] < g.x_escape:

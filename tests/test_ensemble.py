@@ -5,6 +5,7 @@ import math
 import signal
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,14 @@ from slitsim import (
     run_ensemble,
 )
 from slitsim import ensemble
+from slitsim.config import (
+    build_emission,
+    build_field,
+    build_geometry,
+    build_step,
+    parse_config,
+    with_overrides,
+)
 from slitsim.ensemble import CHUNK_SIZE, simulate_batch, uniform01
 
 HSPEC = HistogramSpec(bin_width=0.4, y_min=-25.0, y_max=25.0)
@@ -254,35 +263,45 @@ class TestDeterminism:
         The grid covers all four outcomes, a first step that lands exactly
         on x = 0 (v0 5, tau 1, alpha 0), blocks and detector hits on a
         segment that also crosses the screen plane, and blocks and detector
-        hits on a segment that also leaves the escape bounds.
+        hits on a segment that also leaves the escape bounds.  The far
+        emitter (x0 = -1e18, where d = 25 is below half an ulp, so d - x0
+        rounds to -x0) gives segments whose crossing fractions at x = 0 and
+        at x = d are equal: the screen plane comes first there too.
         """
         alphas = np.radians(np.append(np.linspace(-179.0, 179.0, 181), 0.0))
+        cases = [(replace(paper_geometry, max_steps=max_steps), tau, v0, alphas)
+                 for tau in (0.05, 0.3, 1.0, 2.5, 7.0)
+                 for max_steps in (1000, 3) for v0 in (5.0, 15.0)]
+        far = Geometry(emitter_distance=1e18, screen_gap=25.0, slit_half_height=5.0,
+                       particle_radius=0.2, y_bound=1e20, max_steps=3)
+        cases += [(far, 1.0, v0, np.radians(np.linspace(1.0, 40.0, 4001)))
+                  for v0 in (1.3e18, 1.7e18, 2.1e18)]
         codes, y_final, want_codes, want_y, both_planes, leaves = [], [], [], [], [], []
-        for tau in (0.05, 0.3, 1.0, 2.5, 7.0):
+        ties = 0
+        for geometry, tau, v0, lane_alphas in cases:
             step = StepParams(tau=tau)
-            for max_steps in (1000, 3):
-                geometry = replace(paper_geometry, max_steps=max_steps)
-                for v0 in (5.0, 15.0):
-                    c, y = simulate_batch(alphas, v0, geometry, FREE, step)
-                    codes.append(c)
-                    y_final.append(y)
-                    for a in alphas:
-                        rec = run_discrete_trajectory(float(a), v0, geometry,
-                                                      FREE, step)
-                        out = rec.outcome
-                        want_codes.append({Blocked: 1, Detected: 2, Escaped: 3,
-                                           StepLimit: 4}[type(out)])
-                        want_y.append(out.y_impact if isinstance(out, Blocked)
-                                      else out.y_hit if isinstance(out, Detected)
-                                      else np.nan)
-                        # straight flight: the last segment's end points
-                        dx = tau * v0 * math.cos(a)
-                        x_end = -geometry.emitter_distance + rec.steps_taken * dx
-                        both_planes.append(x_end - dx < 0.0
-                                           and x_end >= geometry.screen_gap)
-                        y_end = rec.steps_taken * tau * v0 * math.sin(a)
-                        leaves.append(x_end < geometry.x_escape
-                                      or abs(y_end) > geometry.y_bound)
+            d = geometry.screen_gap
+            c, y = simulate_batch(lane_alphas, v0, geometry, FREE, step)
+            codes.append(c)
+            y_final.append(y)
+            for a in lane_alphas:
+                rec = run_discrete_trajectory(float(a), v0, geometry, FREE, step)
+                out = rec.outcome
+                want_codes.append({Blocked: 1, Detected: 2, Escaped: 3,
+                                   StepLimit: 4}[type(out)])
+                want_y.append(out.y_impact if isinstance(out, Blocked)
+                              else out.y_hit if isinstance(out, Detected)
+                              else np.nan)
+                # straight flight: the last segment's end points
+                dx = tau * v0 * math.cos(a)
+                x_end = -geometry.emitter_distance + rec.steps_taken * dx
+                x0 = x_end - dx
+                both_planes.append(x0 < 0.0 and x_end >= d)
+                ties += (both_planes[-1]
+                         and x0 / (x0 - x_end) == (d - x0) / (x_end - x0))
+                y_end = rec.steps_taken * tau * v0 * math.sin(a)
+                leaves.append(x_end < geometry.x_escape
+                              or abs(y_end) > geometry.y_bound)
         codes = np.concatenate(codes)
         y_final = np.concatenate(y_final)
         want_codes = np.array(want_codes, dtype=np.uint8)
@@ -294,6 +313,7 @@ class TestDeterminism:
         assert np.any(both_planes & (want_codes == 2))
         assert np.any(leaves & (want_codes == 1))
         assert np.any(leaves & (want_codes == 2))
+        assert ties > 11_000
         assert int((codes != want_codes).sum()) == 0
         assert int((y_final.view(np.int64) != want_y.view(np.int64)).sum()) == 0
 
@@ -395,6 +415,25 @@ class TestDeterminism:
 
 
 class TestMirrorSymmetry:
+    @pytest.mark.parametrize("charge", [-1.0, 1.0, 4.0])
+    def test_kernel_mirror_exact(self, paper_geometry, charge):
+        """simulate_batch(-a) gives the codes of simulate_batch(a) and
+        exactly the negated y, bit for bit (NaN where NaN)."""
+        field = FieldParams(charge_product=charge, slit_half_height=5.0)
+        alphas = math.radians(45.5) * uniform01(8, 0, 20_000)
+        for v0 in (12.0, 15.0):
+            for tau in (0.5, 0.05):
+                step = StepParams(tau=tau)
+                codes, y = simulate_batch(alphas, v0, paper_geometry, field, step)
+                m_codes, m_y = simulate_batch(-alphas, v0, paper_geometry, field,
+                                              step)
+                hit = ~np.isnan(y)
+                assert hit.any()
+                assert np.array_equal(m_codes, codes)
+                assert np.array_equal(np.isnan(m_y), ~hit)
+                assert np.array_equal((-m_y[hit]).view(np.int64),
+                                      y[hit].view(np.int64))
+
     def test_sweep_free_flight_exactly_symmetric(self, paper_geometry, paper_step):
         """Symmetric sweep through a symmetric bin layout mirrors exactly."""
         e = EmissionSpec(v0=12.0, alpha_min=math.radians(-45),
@@ -422,6 +461,45 @@ class TestMirrorSymmetry:
                 stat += (c - m) ** 2 / (c + m)
                 dof += 1
         assert stat < chi2.ppf(0.99, dof)
+
+
+def detected_runs_and_folds(codes, y):
+    """The number of detected runs (stretches of consecutive detected
+    lanes) and the y of each fold: a sign change of consecutive dy inside
+    one run."""
+    det = np.flatnonzero(codes == 2)
+    runs = np.split(det, np.flatnonzero(np.diff(det) > 1) + 1)
+    folds = []
+    for run in runs:
+        dy = np.diff(y[run])
+        folds.extend(y[run][1:-1][dy[:-1] * dy[1:] < 0])
+    return len(runs), folds
+
+
+class TestFoldCensus:
+    @pytest.mark.parametrize("charge, tau, fold_ys", [
+        pytest.param(-1.0, 0.05, [], id="attracting-0.05"),
+        pytest.param(1.0, 0.25, [16.043], id="+1-0.25"),
+        pytest.param(4.0, 0.05, [3.452], id="+4-0.05"),
+        pytest.param(4.0, 0.0125, [3.710], id="+4-0.0125"),
+        pytest.param(4.0, 0.5, [-9.104, 8.383, -8.431], id="+4-0.5"),
+    ])
+    def test_half_sweep_folds(self, charge, tau, fold_ys):
+        """The README's fold census: configs/repulsive.cfg (and its screen
+        set to -1 and +1) on a 50,001-angle half sweep over [0, 45.5] deg."""
+        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs"
+                           / "repulsive.cfg")
+        cfg = with_overrides(cfg, charge_product=charge, tau=tau,
+                             alpha_min_deg=0.0, n=50_001)
+        e = build_emission(cfg)
+        assert e.mode == "sweep" and e.v0 == 15.0
+        codes, y = simulate_batch(emission_angles(e, 0, e.n), e.v0,
+                                  build_geometry(cfg), build_field(cfg),
+                                  build_step(cfg))
+        assert (codes == 2).any()
+        n_runs, folds = detected_runs_and_folds(codes, y)
+        assert n_runs == 1
+        assert folds == pytest.approx(fold_ys, abs=0.01)
 
 
 counts_arrays = st.lists(st.integers(0, 10_000), min_size=3, max_size=3)

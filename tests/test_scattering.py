@@ -174,7 +174,8 @@ class TestCrossingDetection:
         assert rec.path[0].pos == (-5.0, 0.0)
 
     def test_segment_event_ordering(self):
-        """Plane block beats a later detector crossing and vice versa."""
+        """Plane block beats a later detector crossing, also on an exact tie,
+        and a pass through the slit does not."""
         # segment passes the plane (blocked region) then would reach x=25
         ev = _segment_event(-1.0, 6.0, 30.0, 6.0, aperture=4.8, detector_x=25.0)
         assert ev[0] == "blocked"
@@ -183,6 +184,9 @@ class TestCrossingDetection:
         assert ev[0] == "detected"
         # no plane crossing at all
         assert _segment_event(1.0, 0.0, 2.0, 0.0, 4.8, 25.0) is None
+        # both fractions round to 0.5: the screen plane still comes first
+        ev = _segment_event(-1e18, 0.0, 1e18, 12.0, aperture=4.8, detector_x=25.0)
+        assert ev == ("blocked", 6.0, 0.5)
 
     def test_reapproach_from_the_right_uses_same_rule(self, paper_field):
         """Segments crossing back from x > 0 are blocked outside the aperture."""
