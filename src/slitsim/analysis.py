@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import HistogramSpec
-
 
 @dataclass(frozen=True)
 class ExtremaReport:
@@ -85,22 +83,21 @@ def _prominence(v: np.ndarray, peak: int) -> float:
     return v[peak] - max(left_min, right_min)
 
 
-def find_extrema(freqs: np.ndarray, spec: HistogramSpec, n_detected: int,
+def find_extrema(freqs: np.ndarray, centers: np.ndarray, n_detected: int,
                  window: int = 5, k_sigma: float = 5.0) -> ExtremaReport:
     """Report significant maxima and the troughs separating them.
 
-    freqs are bin counts divided by n_detected; n_detected sets the
-    Poisson noise floor.  A maximum is kept when its prominence exceeds
-    k_sigma * sqrt(local mean count) / n_detected.
+    freqs are bin counts divided by n_detected, one per entry of centers
+    (quoted as given); n_detected sets the Poisson noise floor.  A maximum
+    is kept when its prominence exceeds k_sigma * sqrt(local mean count) / n_detected.
     """
     if not (k_sigma > 0):
         raise ValueError("k_sigma must be > 0")
     if n_detected < 0:
         raise ValueError("n_detected must be >= 0")
     f = smooth(freqs, window)
-    centers = spec.bin_centers()
-    if centers.size != f.size:
-        raise ValueError("freqs length does not match the histogram spec")
+    if len(centers) != f.size:
+        raise ValueError("freqs length does not match the bin centres")
 
     maxima: list[tuple[int, float, float]] = []
     if n_detected > 0:

@@ -90,40 +90,32 @@ def cmd_simulate(cfg: ExperimentConfig) -> Path:
 
 def cmd_sweep_tau(cfg: ExperimentConfig) -> Path:
     """Run the ensemble once per tau in tau_list and compare the profiles."""
-    first: dict[str, float] = {}
-    for tau in cfg.tau_list:
-        name = f"distribution_tau{tau:g}.csv"
-        if first.setdefault(name, tau) != tau:
-            raise ConfigurationError(
-                f"tau_list values {first[name]!r} and {tau!r} both write {name}")
     out = Path(cfg.output_dir)
     t0 = time.perf_counter()
-    results: list[tuple[float, Histogram, np.ndarray]] = []
+    sweep_lines = ["tau,n_maxima,oscillation_index"]
+    body = []
+    profiles: list[tuple[float, np.ndarray]] = []
     for tau in cfg.tau_list:
         hist = run_ensemble(build_emission(cfg), build_geometry(cfg),
                             build_field(cfg), build_step(cfg, tau=tau),
                             build_histogram_spec(cfg), workers=cfg.workers)
-        _write_text(out / f"distribution_tau{tau:g}.csv", _distribution_csv(hist))
-        results.append((tau, hist, normalize(hist)))
-
-    spec = build_histogram_spec(cfg)
-    sweep_lines = ["tau,n_maxima,oscillation_index"]
-    body = []
-    for tau, hist, freqs in results:
-        report = find_extrema(freqs, spec, hist.n_detected,
+        _write_text(out / f"distribution_tau{tau!r}.csv", _distribution_csv(hist))
+        freqs = normalize(hist)
+        report = find_extrema(freqs, hist.spec.bin_centers(), hist.n_detected,
                               window=cfg.window, k_sigma=cfg.k_sigma)
         osc = oscillation_index(freqs, window=cfg.window)
         sweep_lines.append(f"{tau!r},{len(report.maxima)},{osc:.17g}")
-        body.append(f"tau={tau:g}: detected={hist.n_detected} "
+        body.append(f"tau={tau!r}: detected={hist.n_detected} "
                     f"maxima={len(report.maxima)} oscillation_index={osc:.6g}")
+        profiles.append((tau, freqs))
     _write_text(out / "sweep_report.csv", "\n".join(sweep_lines) + "\n")
 
     tv_lines = ["tau_a,tau_b,total_variation"]
-    for i, (ta, _, fa) in enumerate(results):
-        for tb, _, fb in results[i + 1:]:
+    for i, (ta, fa) in enumerate(profiles):
+        for tb, fb in profiles[i + 1:]:
             tv = total_variation(fa, fb)
             tv_lines.append(f"{ta!r},{tb!r},{tv:.17g}")
-            body.append(f"tv(tau={ta:g}, tau={tb:g}) = {tv:.6g}")
+            body.append(f"tv(tau={ta!r}, tau={tb!r}) = {tv:.6g}")
     _write_text(out / "tv_report.csv", "\n".join(tv_lines) + "\n")
 
     wall = time.perf_counter() - t0
@@ -167,13 +159,13 @@ def cmd_trace(cfg: ExperimentConfig) -> Path:
 
 def _read_distribution(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _DIST_HEADER:
+    rows = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not rows or rows[0][1].strip() != _DIST_HEADER:
         raise ConfigurationError(f"{path}: expected header {_DIST_HEADER!r}")
-    if len(lines) < 3:
+    if len(rows) < 3:
         raise ConfigurationError(f"{path}: not enough data rows")
     centers, counts, freqs = [], [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in rows[1:]:
         parts = ln.split(",")
         if len(parts) != 3:
             raise ConfigurationError(f"{path}:{lineno}: expected 3 columns")
@@ -208,7 +200,7 @@ def analyze_distribution(path: Path, window: int, k_sigma: float) -> tuple[Extre
     values = normalize(Histogram(spec, counts, n_detected=n_detected))
     if not np.array_equal(values, freqs):
         raise ConfigurationError(f"{path}: frequencies are not count / n_detected")
-    report = find_extrema(values, spec, n_detected, window=window, k_sigma=k_sigma)
+    report = find_extrema(values, centers, n_detected, window=window, k_sigma=k_sigma)
     return report, n_detected
 
 

@@ -70,13 +70,15 @@ class ExperimentConfig:
             build_geometry(self)
             build_step(self)
             build_emission(self)
-            build_histogram_spec(self)
+            n_bins = build_histogram_spec(self).n_bins
             for tau in self.tau_list:
                 StepParams(tau=tau, mass=self.mass)
             if self.workers < 1:
                 raise ValueError("workers must be >= 1")
             if self.window < 1 or self.window % 2 == 0:
                 raise ValueError("window must be odd and >= 1")
+            if self.window > n_bins:
+                raise ValueError(f"window {self.window} exceeds the {n_bins} bins")
             if not (self.k_sigma > 0):
                 raise ValueError("k_sigma must be > 0")
         except ValueError as exc:

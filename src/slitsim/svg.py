@@ -15,19 +15,17 @@ class Sketch(NamedTuple):
 
     outcome: Outcome
     y_extent: float                         # largest |y| over the full path
-    vertices: list[tuple[float, float]]     # the thinned path; empty if < 2 points
+    vertices: list[tuple[float, float]]     # the thinned path, both ends kept
 
 
 def sketch(rec: TrajectoryRecord) -> Sketch:
-    """Keep every ((len - 1) // _MAX_POINTS)-th point of a path, and its end."""
-    path = rec.path or []
+    """Keep every ((len - 1) // _MAX_POINTS)-th point of a path of 2+ states, and its end."""
+    path = rec.path
     y_extent = 0.0
     for s in path:
         ay = abs(s.pos[1])
         if ay > y_extent:
             y_extent = ay
-    if len(path) < 2:
-        return Sketch(rec.outcome, y_extent, [])
     stride = max(1, (len(path) - 1) // _MAX_POINTS)
     pts = path[::stride]
     if pts[-1] is not path[-1]:
@@ -60,8 +58,6 @@ def render_trajectories(sketches: list[Sketch], g: Geometry) -> str:
         '<rect width="100%" height="100%" fill="white"/>',
     ]
     for sk in sketches:
-        if not sk.vertices:
-            continue
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in sk.vertices)
         color = "#c0392b" if isinstance(sk.outcome, Detected) else "#3a6ea5"
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="0.7" '

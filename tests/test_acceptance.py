@@ -121,7 +121,8 @@ def test_criterion_3_fringe_emergence():
     t0 = time.perf_counter()
     hist = canonical_ensemble(tau=0.05, n=1_000_000)
     freqs = frequencies_or_zeros(hist)
-    rep = find_extrema(freqs, HSPEC, hist.n_detected, window=5, k_sigma=5.0)
+    rep = find_extrema(freqs, HSPEC.bin_centers(), hist.n_detected,
+                       window=5, k_sigma=5.0)
     wall = time.perf_counter() - t0
     n_max = len(rep.maxima)
     ok = n_max >= 3

@@ -38,13 +38,15 @@ class TestSmoothing:
             smooth(np.zeros(10), 4)
         with pytest.raises(ValueError):
             smooth(np.zeros(3), 5)
+        with pytest.raises(ValueError, match="1-d"):
+            smooth(np.zeros((3, 3)), 1)
 
 
 class TestFindExtrema:
     def test_single_triangular_peak(self):
         counts = [0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0]
         freqs, n = freqs_from_counts(np.array(counts) * 100)
-        report = find_extrema(freqs, spec_for(11), n, window=3, k_sigma=5.0)
+        report = find_extrema(freqs, spec_for(11).bin_centers(), n, window=3, k_sigma=5.0)
         assert len(report.maxima) == 1
         assert report.minima == []
         assert report.maxima[0][0] == pytest.approx(0.0)
@@ -52,7 +54,7 @@ class TestFindExtrema:
     def test_two_peaks_and_alternation(self):
         counts = np.array([0, 2, 8, 2, 0, 0, 2, 8, 2, 0]) * 400
         freqs, n = freqs_from_counts(counts)
-        report = find_extrema(freqs, spec_for(10), n, window=3, k_sigma=3.0)
+        report = find_extrema(freqs, spec_for(10).bin_centers(), n, window=3, k_sigma=3.0)
         assert len(report.maxima) == 2
         assert len(report.minima) == 1
         positions = sorted([(c, "max") for c, _, _ in report.maxima]
@@ -62,7 +64,7 @@ class TestFindExtrema:
     def test_symmetric_input_symmetric_extrema(self):
         base = np.array([0, 1, 5, 1, 0, 3, 0, 1, 5, 1, 0]) * 300
         freqs, n = freqs_from_counts(base)
-        report = find_extrema(freqs, spec_for(11), n, window=3, k_sigma=3.0)
+        report = find_extrema(freqs, spec_for(11).bin_centers(), n, window=3, k_sigma=3.0)
         centers = sorted(c for c, _, _ in report.maxima)
         assert centers == pytest.approx([-c for c in reversed(centers)])
 
@@ -71,9 +73,9 @@ class TestFindExtrema:
         counts = (1000 * (1.5 + np.sin(np.linspace(0, 9, 40)))
                   + rng.integers(0, 5, 40)).astype(int)
         freqs, n = freqs_from_counts(counts)
-        spec = spec_for(40)
-        fwd = find_extrema(freqs, spec, n, window=3, k_sigma=3.0)
-        rev = find_extrema(freqs[::-1], spec, n, window=3, k_sigma=3.0)
+        centers = spec_for(40).bin_centers()
+        fwd = find_extrema(freqs, centers, n, window=3, k_sigma=3.0)
+        rev = find_extrema(freqs[::-1], centers, n, window=3, k_sigma=3.0)
         fwd_pos = sorted(c for c, _, _ in fwd.maxima)
         rev_pos = sorted(-c for c, _, _ in rev.maxima)
         assert fwd_pos == pytest.approx(rev_pos)
@@ -83,24 +85,26 @@ class TestFindExtrema:
         rng = np.random.default_rng(1)
         counts = rng.poisson(50, 60)
         freqs, n = freqs_from_counts(counts)
-        report = find_extrema(freqs, spec_for(60), n, window=5, k_sigma=5.0)
+        report = find_extrema(freqs, spec_for(60).bin_centers(), n, window=5, k_sigma=5.0)
         assert report.maxima == []
 
     def test_zero_detected_reports_nothing(self):
-        report = find_extrema(np.zeros(20), spec_for(20), 0)
+        report = find_extrema(np.zeros(20), spec_for(20).bin_centers(), 0)
         assert report.maxima == [] and report.minima == []
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            find_extrema(np.zeros(10), spec_for(20), 100)
+            find_extrema(np.zeros(10), spec_for(20).bin_centers(), 100)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
-            find_extrema(np.zeros(20), spec_for(20), 10, window=4)
+            find_extrema(np.zeros(20), spec_for(20).bin_centers(), 10, window=4)
         with pytest.raises(ValueError):
-            find_extrema(np.zeros(20), spec_for(20), 10, k_sigma=0.0)
+            find_extrema(np.zeros(20), spec_for(20).bin_centers(), 10, k_sigma=0.0)
         with pytest.raises(ValueError):
-            find_extrema(np.zeros(3), spec_for(3), 10, window=5)
+            find_extrema(np.zeros(3), spec_for(3).bin_centers(), 10, window=5)
+        with pytest.raises(ValueError, match="n_detected"):
+            find_extrema(np.zeros(20), spec_for(20).bin_centers(), -1)
 
 
 sub_prob = st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8).map(

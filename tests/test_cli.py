@@ -7,7 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from slitsim import ConfigurationError, Histogram, cli, find_extrema, normalize, run_ensemble
+from slitsim import (
+    ConfigurationError,
+    Escaped,
+    Histogram,
+    ParticleState,
+    TrajectoryRecord,
+    Vec2,
+    cli,
+    find_extrema,
+    normalize,
+    run_ensemble,
+)
 from slitsim.cli import (
     analyze_distribution,
     build_parser,
@@ -29,8 +40,10 @@ from slitsim.config import (
     with_overrides,
 )
 from slitsim.ensemble import CHUNK_SIZE
+from slitsim.svg import sketch
 
 FAST = dict(v0=15.0, n=2000, seed=9, workers=1)
+HEADER = "bin_center,count,frequency"
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -75,6 +88,9 @@ class TestConfigParsing:
         path = write_config(tmp_path, n="many")
         with pytest.raises(ConfigurationError):
             parse_config(path)
+        path.write_text("v0 = 15\n\nn 500\n")
+        with pytest.raises(ConfigurationError, match=":3: expected 'key = value'"):
+            parse_config(path)
 
     def test_invariants_revalidated(self, tmp_path):
         path = write_config(tmp_path, particle_radius=7.0)
@@ -87,9 +103,10 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("bad", [
         dict(tau_list=()), dict(tau_list=(0.05, math.inf)), dict(v0=math.nan),
-        dict(y_max=math.inf), dict(workers=0),
+        dict(y_max=math.inf), dict(workers=0), dict(window=4), dict(window=127),
+        dict(k_sigma=0.0),
     ], ids=["empty-tau-list", "infinite-tau-list-entry", "nan-v0", "infinite-y-max",
-            "no-workers"])
+            "no-workers", "even-window", "window-past-the-bins", "zero-k-sigma"])
     def test_invalid_config_cannot_be_built(self, bad):
         """Construction, replace and with_overrides all check every value."""
         with pytest.raises(ConfigurationError):
@@ -257,11 +274,24 @@ class TestSweepTau:
             outs.append([(out / name).read_bytes() for name in names])
         assert outs[0] == outs[1]
 
-    def test_taus_sharing_a_file_name_rejected(self, tmp_path, capsys):
-        out = tmp_path / "clash"
+    def test_taus_alike_under_g_write_their_own_files(self, tmp_path):
+        """Files and report lines spell each tau exactly, so 0.001000001 and
+        0.001 (both 0.001 under %g) do not collide."""
+        out = tmp_path / "close"
         path = write_config(tmp_path, v0=15, n=200, tau_list="0.001000001, 0.001")
+        assert main(["sweep-tau", "--config", str(path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("distribution_tau*.csv")) == [
+            "distribution_tau0.001.csv", "distribution_tau0.001000001.csv"]
+        report = (out / "report.txt").read_text().splitlines()
+        assert [ln.split(":")[0] for ln in report if ln.startswith("tau=")] == [
+            "tau=0.001000001", "tau=0.001"]
+
+    def test_window_wider_than_the_bins_is_exit_2(self, tmp_path, capsys):
+        """Rejected before any tau runs: no output directory is made."""
+        out = tmp_path / "wide"
+        path = write_config(tmp_path, v0=15, n=200, window=127)
         assert main(["sweep-tau", "--config", str(path), "--out", str(out)]) == 2
-        assert "distribution_tau0.001.csv" in capsys.readouterr().err
+        assert "window 127 exceeds the 125 bins" in capsys.readouterr().err
         assert not out.exists()
 
     def test_ascending_list_rejected(self, tmp_path):
@@ -303,6 +333,20 @@ class TestTrace:
         assert ids == set(range(40))
 
 
+    def test_sketch_thins_a_long_path(self):
+        """4,000 states at stride 2: every other state, then the end point;
+        the extent still sees the dropped odd states."""
+        ys = [0.01 * i for i in range(4000)]
+        ys[1001] = -99.5
+        path = [ParticleState(Vec2(0.01 * i, y), Vec2(1.0, 0.0), 0.01 * i)
+                for i, y in enumerate(ys)]
+        sk = sketch(TrajectoryRecord(Escaped(), path, 3999))
+        assert len(sk.vertices) == 2001
+        assert sk.vertices[0] == path[0].pos and sk.vertices[-1] == path[-1].pos
+        assert sk.vertices[1:-1] == [s.pos for s in path[2:-1:2]]
+        assert sk.y_extent == 99.5
+
+
 class TestAnalyze:
     def test_single_peak_csv(self, tmp_path):
         lines = ["bin_center,count,frequency"]
@@ -322,10 +366,19 @@ class TestAnalyze:
         csv.write_text("bin_center,count,frequency\n")
         assert main(["analyze", str(csv)]) == 2
 
-    def test_malformed_csv_is_exit_2(self, tmp_path):
+    def test_malformed_csv_is_exit_2(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
-        csv.write_text("x,y\n1,2\n")
-        assert main(["analyze", str(csv)]) == 2
+        for rows, message in [
+            (["x,y", "1,2"], "expected header"),
+            ([HEADER, "-1.0,0,0.0", "0.0,1", "1.0,0,0.0"], ":3: expected 3 columns"),
+            ([HEADER, "-1.0,0,0.0", "0.0,one,1.0", "1.0,0,0.0"], ":3: invalid literal"),
+            ([HEADER, "-1.0,0,0.0", "0.0,1,1.0", "1.5,0,0.0"], "not evenly spaced"),
+            # line numbers are the file's own, blank lines included
+            ([HEADER, "-1.0,0,0.0", "", "", "0.0,x,1.0"], ":5: invalid literal"),
+        ]:
+            csv.write_text("\n".join(rows) + "\n")
+            assert main(["analyze", str(csv)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_missing_csv_is_exit_3(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 3
@@ -369,13 +422,13 @@ class TestAnalyze:
         hist = run_ensemble(build_emission(cfg), build_geometry(cfg),
                             build_field(cfg), build_step(cfg),
                             build_histogram_spec(cfg), workers=1)
-        lib = find_extrema(normalize(hist), build_histogram_spec(cfg),
+        lib = find_extrema(normalize(hist), build_histogram_spec(cfg).bin_centers(),
                            hist.n_detected, window=cfg.window, k_sigma=cfg.k_sigma)
         csv_report, n_det = analyze_distribution(out / "distribution.csv",
                                                  cfg.window, cfg.k_sigma)
         assert n_det == hist.n_detected
         assert len(csv_report.maxima) == len(lib.maxima)
         for (c1, h1, p1), (c2, h2, p2) in zip(csv_report.maxima, lib.maxima):
-            assert c1 == pytest.approx(c2, abs=1e-9)
+            assert c1 == c2, "extrema.csv quotes the input's own bin centres"
             assert h1 == pytest.approx(h2, rel=1e-12)
             assert p1 == pytest.approx(p2, rel=1e-9, abs=1e-15)

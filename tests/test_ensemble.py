@@ -99,7 +99,7 @@ class TestEmissionAngles:
         a = emission_angles(e, 0, 5000)
         assert np.all((a >= -0.2) & (a < 0.7))
 
-    def test_validation(self):
+    def test_validation(self, paper_geometry, paper_field, paper_step, paper_emission):
         with pytest.raises(ValueError):
             EmissionSpec(v0=1.0, alpha_min=1.0, alpha_max=-1.0, n=10)
         with pytest.raises(ValueError):
@@ -112,6 +112,13 @@ class TestEmissionAngles:
             EmissionSpec(v0=1.0, alpha_min=-1.0, alpha_max=1.0, n=0)
         with pytest.raises(ValueError):
             EmissionSpec(v0=1.0, alpha_min=-1.0, alpha_max=1.0, n=10, mode="grid")
+        with pytest.raises(ValueError, match="64 bits"):
+            EmissionSpec(v0=1.0, alpha_min=-1.0, alpha_max=1.0, n=10, seed=2**64)
+        with pytest.raises(ValueError, match="out of bounds"):
+            emission_angles(paper_emission, 0, paper_emission.n + 1)
+        with pytest.raises(ValueError, match="workers"):
+            run_ensemble(paper_emission, paper_geometry, paper_field, paper_step,
+                         HSPEC, workers=0)
 
 
 class TestHistogramAccounting:

@@ -126,6 +126,9 @@ class TestOutcomes:
         with pytest.raises(ValueError):
             Geometry(emitter_distance=5.0, screen_gap=25.0, slit_half_height=5.0,
                      particle_radius=0.2, y_bound=4.0)
+        with pytest.raises(ValueError, match="max_steps"):
+            Geometry(emitter_distance=5.0, screen_gap=25.0, slit_half_height=5.0,
+                     particle_radius=0.2, max_steps=0)
 
 
 class TestMirrorSymmetry:
