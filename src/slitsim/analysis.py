@@ -91,8 +91,8 @@ def find_extrema(freqs: np.ndarray, centers: np.ndarray, n_detected: int,
     (quoted as given); n_detected sets the Poisson noise floor.  A maximum
     is kept when its prominence exceeds k_sigma * sqrt(local mean count) / n_detected.
     """
-    if not (k_sigma > 0):
-        raise ValueError("k_sigma must be > 0")
+    if not (0 < k_sigma < np.inf):
+        raise ValueError("k_sigma must be > 0 and finite")
     if n_detected < 0:
         raise ValueError("n_detected must be >= 0")
     f = smooth(freqs, window)

@@ -20,7 +20,7 @@ import argparse
 import sys
 import time
 from concurrent.futures import BrokenExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from . import __version__
 from .analysis import ExtremaReport, find_extrema, oscillation_index, total_variation
 from .config import (
     CONFIG_KEYS,
+    PARSERS,
     ExperimentConfig,
     build_emission,
     build_field,
@@ -37,10 +38,9 @@ from .config import (
     build_step,
     config_echo,
     parse_config,
-    with_overrides,
 )
 from .ensemble import Histogram, HistogramSpec, emission_angles, normalize, run_ensemble
-from .errors import ConfigurationError, SlitSimError
+from .errors import ConfigurationError
 from .scattering import run_discrete_trajectory
 from .svg import render_trajectories, sketch
 
@@ -125,7 +125,7 @@ def cmd_sweep_tau(cfg: ExperimentConfig) -> Path:
 
 def cmd_trace(cfg: ExperimentConfig) -> Path:
     """Record a swept-angle bundle of cfg.n trajectories as CSV and SVG."""
-    cfg = with_overrides(cfg, mode="sweep")
+    cfg = replace(cfg, mode="sweep")
     out = Path(cfg.output_dir)
     t0 = time.perf_counter()
     emission = build_emission(cfg)
@@ -223,26 +223,16 @@ def cmd_analyze(csv_path: Path, window: int, k_sigma: float,
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    return with_overrides(
-        cfg,
-        seed=getattr(args, "seed", None),
-        workers=getattr(args, "workers", None),
-        output_dir=getattr(args, "out", None),
-        n=getattr(args, "n", None),
-        tau=getattr(args, "tau", None),
-    )
+    return replace(cfg, **{k: v for k, v in vars(args).items()
+                           if k in CONFIG_KEYS and v is not None})
 
 
-def _add_run_flags(p: argparse.ArgumentParser, ensemble: bool, tau: bool) -> None:
-    """--config and the overrides the subcommand reads; any other flag is an error."""
+def _add_run_flags(p: argparse.ArgumentParser, *keys: str) -> None:
+    """--config, --out and --<key> for each key named, parsed as in a config file."""
     p.add_argument("--config", metavar="PATH", help="config file (key = value lines)")
-    if ensemble:
-        p.add_argument("--seed", type=int, help="override: base RNG seed")
-        p.add_argument("--workers", type=int, help="override: worker processes")
-    p.add_argument("--out", metavar="DIR", help="override: output directory")
-    p.add_argument("--n", type=int, help="override: trajectory count")
-    if tau:
-        p.add_argument("--tau", type=float, help="override: time step")
+    p.add_argument("--out", dest="output_dir", metavar="DIR", help="override: output_dir")
+    for key in keys:
+        p.add_argument(f"--{key}", type=PARSERS[key], help=f"override: {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,13 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     _add_run_flags(sub.add_parser("simulate", help="run one ensemble"),
-                   ensemble=True, tau=True)
+                   "seed", "workers", "n", "tau")
     # sweep-tau takes its steps from tau_list; trace sweeps its angles
     # without a seed, in this process
     _add_run_flags(sub.add_parser("sweep-tau", help="rerun across tau_list and compare"),
-                   ensemble=True, tau=False)
+                   "seed", "workers", "n")
     p = sub.add_parser("trace", help="record and draw trajectories (n = 250 unless --n)")
-    _add_run_flags(p, ensemble=False, tau=True)
+    _add_run_flags(p, "n", "tau")
     p.set_defaults(n=250)
 
     p = sub.add_parser("analyze", help="find extrema in a distribution.csv")
@@ -277,17 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so a patched cmd_* is the one that runs
+    run = {"simulate": cmd_simulate, "sweep-tau": cmd_sweep_tau,
+           "trace": cmd_trace}.get(args.command)
     try:
-        if args.command == "simulate":
-            cmd_simulate(_load_config(args))
-        elif args.command == "sweep-tau":
-            cmd_sweep_tau(_load_config(args))
-        elif args.command == "trace":
-            cmd_trace(_load_config(args))
-        elif args.command == "analyze":
+        if run is not None:
+            run(_load_config(args))
+        else:
             cmd_analyze(Path(args.csv), args.window, args.k_sigma,
                         Path(args.out) if args.out else None)
-    except (SlitSimError, ValueError) as exc:
+    except ValueError as exc:
         print(f"slitsim: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

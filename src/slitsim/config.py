@@ -9,7 +9,7 @@ boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -56,7 +56,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         """Check every run parameter; raises ConfigurationError."""
         try:
-            numbers = [(key, getattr(self, key)) for key, parse in _PARSERS.items()
+            numbers = [(key, getattr(self, key)) for key, parse in PARSERS.items()
                        if parse is float]
             numbers += [("tau_list", tau) for tau in self.tau_list]
             for key, val in numbers:
@@ -90,10 +90,10 @@ def _parse_tau_list(text: str) -> tuple[float, ...]:
 
 
 # Each key's parser is its field's type, except for the list form of tau_list.
-_PARSERS = {key: _parse_tau_list if key == "tau_list" else hint
-            for key, hint in get_type_hints(ExperimentConfig).items()}
+PARSERS = {key: _parse_tau_list if key == "tau_list" else hint
+           for key, hint in get_type_hints(ExperimentConfig).items()}
 
-CONFIG_KEYS = tuple(sorted(_PARSERS))
+CONFIG_KEYS = tuple(sorted(PARSERS))
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -109,22 +109,17 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _PARSERS:
+        if key not in PARSERS:
             raise ConfigurationError(
                 f"{path}:{lineno}: unknown key {key!r} (valid keys: "
                 f"{', '.join(CONFIG_KEYS)})")
         if key in values:
             raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            values[key] = _PARSERS[key](val)
+            values[key] = PARSERS[key](val)
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return ExperimentConfig(**values)
-
-
-def with_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Apply non-None CLI overrides on top of a config."""
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def build_field(cfg: ExperimentConfig) -> FieldParams:

@@ -85,7 +85,7 @@ class HistogramSpec:
     """Detector binning: equal-width cells over [y_min, y_max).
 
     bin_width must tile the range: the cell count (y_max - y_min) /
-    bin_width must be a whole number to a relative 1e-9.  Hits at or
+    bin_width must be a finite whole number to a relative 1e-9.  Hits at or
     beyond y_max are overflow.
     """
 
@@ -99,7 +99,8 @@ class HistogramSpec:
         if not (self.y_min < self.y_max):
             raise ValueError("y_min must be < y_max")
         ratio = (self.y_max - self.y_min) / self.bin_width
-        if not (abs(ratio - round(ratio)) <= 1e-9 * ratio and round(ratio) >= 1):
+        if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * ratio
+                and round(ratio) >= 1):
             raise ValueError(f"bin_width {self.bin_width!r} does not tile "
                              f"[{self.y_min!r}, {self.y_max!r})")
 
@@ -368,13 +369,25 @@ def run_ensemble(e: EmissionSpec, g: Geometry, f: FieldParams, sp: StepParams,
         for chunk in chunks:
             total = merge(total, _simulate_chunk(chunk))
     else:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        others = set(multiprocessing.active_children())
         # Workers ignore SIGINT, so Ctrl-C interrupts only this process.
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
                                  initializer=signal.signal,
                                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            for part in pool.map(_simulate_chunk, chunks):
-                total = merge(total, part)
+            try:
+                pending = [pool.submit(_simulate_chunk, c) for c in chunks]
+                pending.reverse()
+                while pending:  # merge in chunk order, dropping each result
+                    total = merge(total, pending.pop().result())
+            except KeyboardInterrupt:
+                # Stop the running chunks, so leaving the pool need not wait
+                # for them.  Cancel no future: the pool then fails each one
+                # as broken, which raises on a cancelled one (Python 3.11).
+                for proc in set(multiprocessing.active_children()) - others:
+                    proc.terminate()
+                raise
     total.check_conservation()
     return total

@@ -23,6 +23,7 @@ The file name keeps it out of pytest's collection.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 from slitsim.config import (
     ExperimentConfig,
@@ -30,7 +31,6 @@ from slitsim.config import (
     build_field,
     build_geometry,
     build_step,
-    with_overrides,
 )
 from slitsim.ensemble import emission_angles, simulate_batch
 
@@ -41,18 +41,17 @@ def cases():
         for tau in (0.05, 0.01, 0.001):
             for mode in ("random", "sweep"):
                 yield (f"grid v0={v0:g} tau={tau:g} {mode}",
-                       with_overrides(base, v0=v0, tau=tau, mode=mode,
-                                      n=16384, seed=1))
+                       replace(base, v0=v0, tau=tau, mode=mode, n=16384, seed=1))
     for v0 in (12.0, 15.0):
         for tau in (0.05, 0.01):
             for max_steps in (1, 7, 30, 60, 100):
                 yield (f"steplimit v0={v0:g} tau={tau:g} max_steps={max_steps}",
-                       with_overrides(base, v0=v0, tau=tau, n=4096, seed=3,
-                                      max_steps=max_steps))
+                       replace(base, v0=v0, tau=tau, n=4096, seed=3,
+                               max_steps=max_steps))
     for tau in (0.5, 0.3, 0.1, 0.05):
         yield (f"repulsive+4 v0=15 tau={tau:g} sweep",
-               with_overrides(base, charge_product=4.0, v0=15.0, tau=tau,
-                              mode="sweep", n=16384))
+               replace(base, charge_product=4.0, v0=15.0, tau=tau,
+                       mode="sweep", n=16384))
 
 
 def digest(cfg: ExperimentConfig) -> str:

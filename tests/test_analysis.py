@@ -101,6 +101,10 @@ class TestFindExtrema:
             find_extrema(np.zeros(20), spec_for(20).bin_centers(), 10, window=4)
         with pytest.raises(ValueError):
             find_extrema(np.zeros(20), spec_for(20).bin_centers(), 10, k_sigma=0.0)
+        for k_sigma in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="k_sigma"):
+                find_extrema(np.zeros(20), spec_for(20).bin_centers(), 10,
+                             k_sigma=k_sigma)
         with pytest.raises(ValueError):
             find_extrema(np.zeros(3), spec_for(3).bin_centers(), 10, window=5)
         with pytest.raises(ValueError, match="n_detected"):
@@ -146,6 +150,8 @@ class TestOscillationIndex:
 
     def test_flat_profile(self):
         assert oscillation_index(np.full(30, 0.1), window=5) == 0.0
+        # not flat, but its moving average rounds to exactly flat
+        assert oscillation_index(np.array([1.0, 1.0 + 2**-52, 1.0]), window=3) == 0.0
 
     def test_oscillating_beats_monotone(self):
         x = np.linspace(0, 6 * np.pi, 120)

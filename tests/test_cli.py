@@ -1,6 +1,11 @@
 """Config parsing, subcommands, emitted files, exit codes."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -37,11 +42,11 @@ from slitsim.config import (
     build_step,
     config_echo,
     parse_config,
-    with_overrides,
 )
 from slitsim.ensemble import CHUNK_SIZE
 from slitsim.svg import sketch
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FAST = dict(v0=15.0, n=2000, seed=9, workers=1)
 HEADER = "bin_center,count,frequency"
 
@@ -97,9 +102,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             parse_config(path)
 
-    def test_overrides(self):
-        cfg = with_overrides(ExperimentConfig(), seed=77, n=123, tau=None)
-        assert cfg.seed == 77 and cfg.n == 123 and cfg.tau == 0.05
+    def test_overrides(self, tmp_path):
+        """A flag sets the key of its name; a key with no flag keeps its value."""
+        path = write_config(tmp_path, seed=5, n=400, tau=0.02)
+        args = build_parser().parse_args(
+            ["simulate", "--config", str(path), "--seed", "77", "--n", "123",
+             "--out", "o"])
+        cfg = cli._load_config(args)
+        assert (cfg.seed, cfg.n, cfg.tau, cfg.output_dir) == (77, 123, 0.02, "o")
+        assert cli._load_config(build_parser().parse_args(["trace"])).n == 250
 
     @pytest.mark.parametrize("bad", [
         dict(tau_list=()), dict(tau_list=(0.05, math.inf)), dict(v0=math.nan),
@@ -108,13 +119,11 @@ class TestConfigParsing:
     ], ids=["empty-tau-list", "infinite-tau-list-entry", "nan-v0", "infinite-y-max",
             "no-workers", "even-window", "window-past-the-bins", "zero-k-sigma"])
     def test_invalid_config_cannot_be_built(self, bad):
-        """Construction, replace and with_overrides all check every value."""
+        """Construction and replace both check every value."""
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**bad)
         with pytest.raises(ConfigurationError):
             replace(ExperimentConfig(), **bad)
-        with pytest.raises(ConfigurationError):
-            with_overrides(ExperimentConfig(), **bad)
 
     @pytest.mark.parametrize("key, flags", [
         ("v0", []), ("alpha_max_deg", []), ("y_max", []), ("tau", ["--tau", "inf"]),
@@ -209,13 +218,41 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("slitsim: ") and err.count("\n") == 1
 
+    def test_ctrl_c_stops_the_workers_at_once(self, tmp_path):
+        """SIGINT to the whole process group mid-run: exit 130 within a
+        second, one stderr line, and no worker process left behind."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "slitsim", "simulate",
+             "--config", str(CONFIGS / "arrivals.cfg"), "--tau", "0.001",
+             "--workers", "2", "--out", str(tmp_path)],
+            env=env, stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            time.sleep(1.5)
+            os.killpg(proc.pid, signal.SIGINT)
+            t0 = time.monotonic()
+            _, err = proc.communicate(timeout=30)
+            waited = time.monotonic() - t0
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130
+        assert err == "slitsim: interrupted\n"
+        assert waited < 1.0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
 
 class TestOverrideFlags:
     def test_simulate_takes_all_five(self):
         args = build_parser().parse_args(
             ["simulate", "--seed", "3", "--workers", "2", "--out", "o", "--n", "5",
              "--tau", "0.01"])
-        assert (args.seed, args.workers, args.out, args.n, args.tau) == (3, 2, "o", 5, 0.01)
+        assert (args.seed, args.workers, args.output_dir, args.n, args.tau) == (
+            3, 2, "o", 5, 0.01)
 
     @pytest.mark.parametrize("argv", [
         ["sweep-tau", "--tau", "0.01"],
@@ -380,24 +417,36 @@ class TestAnalyze:
             assert main(["analyze", str(csv)]) == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k_sigma", ["0", "inf", "nan"])
+    def test_k_sigma_out_of_range_is_exit_2(self, tmp_path, capsys, k_sigma):
+        csv = tmp_path / "dist.csv"
+        csv.write_text("\n".join([HEADER, "-2.0,0,0.0", "-1.0,1,0.25", "0.0,2,0.5",
+                                  "1.0,1,0.25", "2.0,0,0.0"]) + "\n")
+        assert main(["analyze", str(csv), "--k-sigma", k_sigma]) == 2
+        assert "k_sigma must be > 0 and finite" in capsys.readouterr().err
+        assert not (tmp_path / "extrema.csv").exists()
+
     def test_missing_csv_is_exit_3(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 3
 
-    @pytest.mark.parametrize("counts, freqs", [
-        ([0, 0, -3, 5, 2, 0, 0], [0, 0, 0.5, 0.5, 0, 0, 0]),
-        ([0, 1, 2, 1, 0], [0, 0.5, 0.25, 0.25, 0]),
-        ([0, 1, 2, 1, 0], [0, 0.25, 0.5, 0.25, 1e-17]),
-        ([0, 0, 0, 0, 0], [0, 0.5, -0.5, 0, 0]),
-        ([0, 1, 2, 1, 0], [0, 0, 0, 0, 0]),
-        ([0, 4, 4, 4, 0], [0, 0.5, 0.5, 0.5, 0]),
-        ([0, 0, 1, 0, 0], [0, 0, 5e-324, 0, 0]),
-        ([0, 0, 10**20, 0, 0], [0, 0, 1, 0, 0]),
+    @pytest.mark.parametrize("counts, freqs, centers", [
+        ([0, 0, -3, 5, 2, 0, 0], [0, 0, 0.5, 0.5, 0, 0, 0], None),
+        ([0, 1, 2, 1, 0], [0, 0.5, 0.25, 0.25, 0], None),
+        ([0, 1, 2, 1, 0], [0, 0.25, 0.5, 0.25, 1e-17], None),
+        ([0, 0, 0, 0, 0], [0, 0.5, -0.5, 0, 0], None),
+        ([0, 1, 2, 1, 0], [0, 0, 0, 0, 0], None),
+        ([0, 4, 4, 4, 0], [0, 0.5, 0.5, 0.5, 0], None),
+        ([0, 0, 1, 0, 0], [0, 0, 5e-324, 0, 0], None),
+        ([0, 0, 10**20, 0, 0], [0, 0, 1, 0, 0], None),
+        ([1, 1], [0.5, 0.5], [5e307, 1.5e308]),
     ], ids=["negative-count", "not-count-over-n", "empty-bin-frequency",
             "frequencies-without-detections", "counts-without-frequencies",
-            "counts-above-n-detected", "subnormal-frequency", "count-past-int64"])
-    def test_file_never_written_is_exit_2(self, tmp_path, counts, freqs):
+            "counts-above-n-detected", "subnormal-frequency", "count-past-int64",
+            "bin-range-overflows"])
+    def test_file_never_written_is_exit_2(self, tmp_path, counts, freqs, centers):
+        centers = centers or [i - 2.0 for i in range(len(counts))]
         lines = ["bin_center,count,frequency"]
-        lines += [f"{i - 2.0!r},{c},{f!r}" for i, (c, f) in enumerate(zip(counts, freqs))]
+        lines += [f"{x!r},{c},{f!r}" for x, c, f in zip(centers, counts, freqs)]
         csv = tmp_path / "dist.csv"
         csv.write_text("\n".join(lines) + "\n")
         assert main(["analyze", str(csv)]) == 2
@@ -407,7 +456,7 @@ class TestAnalyze:
     def test_simulated_distribution_is_exit_0(self, tmp_path, config):
         """Both shipped configs' histograms pass the checks; canonical.cfg's
         is empty, with all-zero frequencies."""
-        cfg = Path(__file__).resolve().parents[1] / "configs" / config
+        cfg = CONFIGS / config
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert main(["analyze", str(tmp_path / "distribution.csv")]) == 0
         extrema = (tmp_path / "extrema.csv").read_text().splitlines()

@@ -6,6 +6,7 @@ import signal
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from slitsim.config import (
     build_geometry,
     build_step,
     parse_config,
-    with_overrides,
 )
 from slitsim.ensemble import CHUNK_SIZE, simulate_batch, uniform01
 
@@ -156,6 +156,12 @@ class TestHistogramAccounting:
             HistogramSpec(bin_width=0.0, y_min=-1.0, y_max=1.0)
         with pytest.raises(ValueError):
             HistogramSpec(bin_width=0.4, y_min=1.0, y_max=-1.0)
+        # bounds or a bin count past the floats: ValueError, not OverflowError
+        for bad in [(1e308, 0.0, math.inf), (0.4, -25.0, math.inf),
+                    (0.4, -math.inf, 25.0), (math.inf, 0.0, 1.0),
+                    (1e308, -1.5e308, 1.5e308), (1e-320, 0.0, 1.0)]:
+            with pytest.raises(ValueError):
+                HistogramSpec(*bad)
 
 
 class TestDeterminism:
@@ -176,7 +182,7 @@ class TestDeterminism:
 
     @pytest.fixture
     def serial_pool(self, monkeypatch):
-        """Swap in a pool that maps in this process and starts none.
+        """Swap in a pool that runs each task in this process and starts none.
 
         Returns the keyword arguments of each pool made.
         """
@@ -192,8 +198,8 @@ class TestDeterminism:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, item):
+                return SimpleNamespace(result=lambda: fn(item))
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         return made
@@ -496,8 +502,8 @@ class TestFoldCensus:
         set to -1 and +1) on a 50,001-angle half sweep over [0, 45.5] deg."""
         cfg = parse_config(Path(__file__).resolve().parents[1] / "configs"
                            / "repulsive.cfg")
-        cfg = with_overrides(cfg, charge_product=charge, tau=tau,
-                             alpha_min_deg=0.0, n=50_001)
+        cfg = replace(cfg, charge_product=charge, tau=tau,
+                      alpha_min_deg=0.0, n=50_001)
         e = build_emission(cfg)
         assert e.mode == "sweep" and e.v0 == 15.0
         codes, y = simulate_batch(emission_angles(e, 0, e.n), e.v0,
