@@ -39,7 +39,7 @@ def smooth(values: np.ndarray, window: int) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError("expected a 1-d array")
     if v.size < window:
-        raise ValueError(f"array of length {v.size} shorter than window {window}")
+        raise ValueError(f"window {window} exceeds the {v.size} bins")
     if window == 1:
         return v.copy()
     half = window // 2

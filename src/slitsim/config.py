@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
+from .analysis import find_extrema
 from .dynamics import StepParams
 from .ensemble import EmissionSpec, HistogramSpec
 from .errors import ConfigurationError
@@ -70,17 +73,14 @@ class ExperimentConfig:
             build_geometry(self)
             build_step(self)
             build_emission(self)
-            n_bins = build_histogram_spec(self).n_bins
+            spec = build_histogram_spec(self)
             for tau in self.tau_list:
                 StepParams(tau=tau, mass=self.mass)
             if self.workers < 1:
                 raise ValueError("workers must be >= 1")
-            if self.window < 1 or self.window % 2 == 0:
-                raise ValueError("window must be odd and >= 1")
-            if self.window > n_bins:
-                raise ValueError(f"window {self.window} exceeds the {n_bins} bins")
-            if not (self.k_sigma > 0):
-                raise ValueError("k_sigma must be > 0")
+            # window and k_sigma: the analysis's own checks, on an empty profile
+            find_extrema(np.zeros(spec.n_bins), spec.bin_centers(), 0,
+                         window=self.window, k_sigma=self.k_sigma)
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
 

@@ -43,6 +43,7 @@ from .scattering import Geometry, check_consistent
 
 CHUNK_SIZE = 16384
 _EXACT_BLOCK = 1024
+_MAX_BINS = 2 ** 20
 
 _BLOCKED, _DETECTED, _ESCAPED, _STEPLIMIT = 1, 2, 3, 4
 
@@ -85,8 +86,8 @@ class HistogramSpec:
     """Detector binning: equal-width cells over [y_min, y_max).
 
     bin_width must tile the range: the cell count (y_max - y_min) /
-    bin_width must be a finite whole number to a relative 1e-9.  Hits at or
-    beyond y_max are overflow.
+    bin_width must be a whole number to a relative 1e-9, and at most 2**20
+    (8 MiB of counts).  Hits at or beyond y_max are overflow.
     """
 
     bin_width: float
@@ -103,6 +104,8 @@ class HistogramSpec:
                 and round(ratio) >= 1):
             raise ValueError(f"bin_width {self.bin_width!r} does not tile "
                              f"[{self.y_min!r}, {self.y_max!r})")
+        if self.n_bins > _MAX_BINS:
+            raise ValueError(f"{ratio:.15g} bins exceed the limit of {_MAX_BINS}")
 
     @property
     def n_bins(self) -> int:
@@ -201,7 +204,8 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     Returns (codes, y_final): outcome code per trajectory and the impact
     or hit y for blocked/detected ones (NaN otherwise).  A lane leaves
     the working arrays in the step it finishes; lanes still running
-    after max_steps keep their initial step-limit code.
+    after max_steps keep their initial step-limit code.  A g and f that
+    disagree on the slit half-height raise ConfigurationError.
 
     The state is the pairs (x, y) and u = tau * v, each a (2, n) array.  A
     step is u += (tau^2 / m) F(x, y), then x' = x + u: the map of
@@ -223,6 +227,7 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     time in proportion to the lanes retired.  Every operation is
     elementwise, so this reordering moves no bit of a result.
     """
+    check_consistent(g, f)
     n = alphas.size
     codes = np.full(n, _STEPLIMIT, dtype=np.uint8)
     y_final = np.full(n, np.nan)
@@ -324,32 +329,26 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     return codes, y_final
 
 
-def _bin_hits(ys: np.ndarray, spec: HistogramSpec) -> tuple[np.ndarray, int, int]:
-    ix = np.floor((ys - spec.y_min) / spec.bin_width).astype(np.int64)
-    ix[ys >= spec.y_max] = spec.n_bins      # rounding may put y_max in the last cell
-    under = int((ix < 0).sum())
-    over = int((ix >= spec.n_bins).sum())
-    ok = (ix >= 0) & (ix < spec.n_bins)
-    counts = np.bincount(ix[ok], minlength=spec.n_bins).astype(np.int64)
-    return counts, under, over
-
-
 def _simulate_chunk(args) -> Histogram:
-    e, g, f, sp, hspec, lo, hi = args
-    alphas = emission_angles(e, lo, hi)
-    codes, y_final = simulate_batch(alphas, e.v0, g, f, sp)
-    counts, under, over = _bin_hits(y_final[codes == _DETECTED], hspec)
+    e, g, f, sp, h, lo, hi = args
+    codes, y_final = simulate_batch(emission_angles(e, lo, hi), e.v0, g, f, sp)
+    ys = y_final[codes == _DETECTED]
+    # Cell 0 is underflow and cell n_bins + 1 overflow; rounding may put
+    # y_max in the last bin, so a hit at or past it is moved to overflow.
+    cell = np.clip(np.floor((ys - h.y_min) / h.bin_width) + 1, 0, h.n_bins + 1)
+    cell[ys >= h.y_max] = h.n_bins + 1
+    cells = np.bincount(cell.astype(np.int64), minlength=h.n_bins + 2)
     tally = np.bincount(codes, minlength=_STEPLIMIT + 1)
     return Histogram(
-        spec=hspec,
-        counts=counts,
+        spec=h,
+        counts=cells[1:-1],
         n_emitted=hi - lo,
         n_detected=int(tally[_DETECTED]),
         n_blocked=int(tally[_BLOCKED]),
         n_escaped=int(tally[_ESCAPED]),
         n_steplimit=int(tally[_STEPLIMIT]),
-        underflow=under,
-        overflow=over,
+        underflow=int(cells[0]),
+        overflow=int(cells[-1]),
     )
 
 
@@ -361,7 +360,6 @@ def run_ensemble(e: EmissionSpec, g: Geometry, f: FieldParams, sp: StepParams,
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    check_consistent(g, f)
     chunks = [(e, g, f, sp, h, lo, min(lo + CHUNK_SIZE, e.n))
               for lo in range(0, e.n, CHUNK_SIZE)]
     total = Histogram.zero(h)

@@ -324,12 +324,18 @@ class TestSweepTau:
             "tau=0.001000001", "tau=0.001"]
 
     def test_window_wider_than_the_bins_is_exit_2(self, tmp_path, capsys):
-        """Rejected before any tau runs: no output directory is made."""
+        """Rejected before any tau runs: no output directory is made.  analyze
+        states the rule in the same words."""
         out = tmp_path / "wide"
         path = write_config(tmp_path, v0=15, n=200, window=127)
         assert main(["sweep-tau", "--config", str(path), "--out", str(out)]) == 2
         assert "window 127 exceeds the 125 bins" in capsys.readouterr().err
         assert not out.exists()
+        path = write_config(tmp_path, v0=15, n=200)
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(out / "distribution.csv"), "--window", "127"]) == 2
+        assert "window 127 exceeds the 125 bins" in capsys.readouterr().err
 
     def test_ascending_list_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="descending"):

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import re
 import signal
 import tracemalloc
 from dataclasses import fields, replace
@@ -140,6 +141,19 @@ class TestHistogramAccounting:
         assert h.underflow > 0 and h.overflow > 0
         assert int(h.counts.sum()) + h.underflow + h.overflow == h.n_detected
 
+    def test_hit_at_y_max_is_overflow(self, monkeypatch, paper_geometry, paper_field,
+                                      paper_step):
+        """(0.7 - 0.1) / 0.2 rounds to 2.9999999999999996, so without the
+        y >= y_max rule a hit at exactly 0.7 would land in the last cell."""
+        ys = np.array([0.7, 0.1, 0.0999])
+        monkeypatch.setattr(ensemble, "simulate_batch", lambda *_: (
+            np.full(3, ensemble._DETECTED, dtype=np.uint8), ys))
+        e = EmissionSpec(v0=15.0, alpha_min=-0.1, alpha_max=0.1, n=3)
+        h = run_ensemble(e, paper_geometry, paper_field, paper_step,
+                         HistogramSpec(bin_width=0.2, y_min=0.1, y_max=0.7))
+        assert h.counts.tolist() == [1, 0, 0]
+        assert (h.n_detected, h.underflow, h.overflow) == (3, 1, 1)
+
     def test_width_that_does_not_tile_is_rejected(self):
         """A width that does not divide the range would leave a cut last
         cell ([24.8, 25.0) here) labelled as a full one."""
@@ -162,6 +176,12 @@ class TestHistogramAccounting:
                     (1e308, -1.5e308, 1.5e308), (1e-320, 0.0, 1.0)]:
             with pytest.raises(ValueError):
                 HistogramSpec(*bad)
+        # at most 2**20 cells (8 MiB of counts), and the message names the count
+        for bad, count in [((1e-300, 0.0, 1.0), "1e+300"),
+                           ((1.0, 0.0, 2.0 ** 20 + 1), "1048577")]:
+            with pytest.raises(ValueError, match=re.escape(f"{count} bins exceed")):
+                HistogramSpec(*bad)
+        assert HistogramSpec(1.0, 0.0, 2.0 ** 20).n_bins == 2 ** 20
 
 
 class TestDeterminism:

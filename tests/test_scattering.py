@@ -1,6 +1,7 @@
 """Trajectory runners: outcomes, crossing detection, mirror symmetry."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from slitsim import (
     Escaped,
     FieldParams,
     Geometry,
+    HistogramSpec,
     StepLimit,
     StepParams,
     run_discrete_trajectory,
+    run_ensemble,
 )
+from slitsim.ensemble import CHUNK_SIZE, simulate_batch
 from slitsim.scattering import _segment_event
 
 from oracle import run_continuous_trajectory
@@ -104,11 +108,20 @@ class TestOutcomes:
         assert isinstance(rec.outcome, Escaped)
         assert rec.path[-1].pos.x < g.x_escape
 
-    def test_geometry_field_mismatch(self, paper_field, paper_step):
+    def test_geometry_field_mismatch(self, paper_field, paper_step, fast_emission):
+        """R = 4 in the geometry, 5 in the field: every engine refuses to run,
+        the kernel called directly too, and a worker's error reaches the caller."""
         g = Geometry(emitter_distance=5.0, screen_gap=25.0, slit_half_height=4.0,
                      particle_radius=0.2)
         with pytest.raises(ConfigurationError):
             run_discrete_trajectory(0.0, 12.0, g, paper_field, paper_step)
+        with pytest.raises(ConfigurationError):
+            simulate_batch(np.zeros(3), 12.0, g, paper_field, paper_step)
+        e = replace(fast_emission, n=CHUNK_SIZE + 1)      # two chunks
+        hspec = HistogramSpec(bin_width=0.4, y_min=-25.0, y_max=25.0)
+        for workers in (1, 2):
+            with pytest.raises(ConfigurationError, match="slit_half_height"):
+                run_ensemble(e, g, paper_field, paper_step, hspec, workers=workers)
 
     def test_speed_must_be_positive(self, paper_geometry, paper_field, paper_step):
         with pytest.raises(ValueError):
