@@ -28,7 +28,6 @@ class ExtremaReport:
 
     maxima: list[tuple[float, float, float]]
     minima: list[tuple[float, float, float]]
-    smoothing_window: int
 
 
 def smooth(values: np.ndarray, window: int) -> np.ndarray:
@@ -51,36 +50,23 @@ def smooth(values: np.ndarray, window: int) -> np.ndarray:
 
 
 def _local_maxima(v: np.ndarray) -> list[int]:
-    """Interior local maxima; a plateau reports its center index."""
-    out = []
-    n = v.size
-    i = 1
-    while i < n - 1:
-        if v[i] > v[i - 1]:
-            j = i
-            while j + 1 < n and v[j + 1] == v[i]:
-                j += 1
-            if j < n - 1 and v[j + 1] < v[i]:
-                out.append((i + j) // 2)
-            i = j + 1
-        else:
-            i += 1
-    return out
+    """Runs of equal values higher than the runs on both sides; each reports
+    its center index, so a run that touches either end is never a maximum."""
+    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    ends = np.r_[starts[1:], v.size] - 1
+    r = v[starts]
+    run = np.flatnonzero((r[1:-1] > r[:-2]) & (r[1:-1] > r[2:])) + 1
+    return ((starts[run] + ends[run]) // 2).tolist()
 
 
 def _prominence(v: np.ndarray, peak: int) -> float:
-    """Height of v[peak] above the higher of its two key saddles."""
-    left_min = v[peak]
-    i = peak - 1
-    while i >= 0 and v[i] <= v[peak]:
-        left_min = min(left_min, v[i])
-        i -= 1
-    right_min = v[peak]
-    i = peak + 1
-    while i < v.size and v[i] <= v[peak]:
-        right_min = min(right_min, v[i])
-        i += 1
-    return v[peak] - max(left_min, right_min)
+    """Height of v[peak] above the higher of its two key saddles: the lowest
+    points between it and the nearest strictly higher point on each side."""
+    higher = np.r_[-1, np.flatnonzero(v > v[peak]), v.size]
+    k = np.searchsorted(higher, peak)
+    left = v[higher[k - 1] + 1:peak + 1].min()
+    right = v[peak:higher[k]].min()
+    return v[peak] - max(left, right)
 
 
 def find_extrema(freqs: np.ndarray, centers: np.ndarray, n_detected: int,
@@ -115,7 +101,6 @@ def find_extrema(freqs: np.ndarray, centers: np.ndarray, n_detected: int,
     return ExtremaReport(
         maxima=[(float(centers[i]), float(h), float(p)) for i, h, p in maxima],
         minima=[(float(centers[i]), float(h), float(p)) for i, h, p in minima],
-        smoothing_window=window,
     )
 
 

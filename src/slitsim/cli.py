@@ -210,7 +210,7 @@ def cmd_analyze(csv_path: Path, window: int, k_sigma: float,
     report, n_detected = analyze_distribution(csv_path, window, k_sigma)
     out = out_dir if out_dir is not None else Path(csv_path).parent
     lines = ["kind,bin_center,height,prominence"]
-    print(f"{csv_path}: n_detected={n_detected} window={report.smoothing_window} "
+    print(f"{csv_path}: n_detected={n_detected} window={window} "
           f"k_sigma={k_sigma:g}")
     print(f"{'kind':8} {'bin_center':>12} {'height':>12} {'prominence':>12}")
     for kind, entries in (("maximum", report.maxima), ("minimum", report.minima)):

@@ -205,7 +205,8 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     or hit y for blocked/detected ones (NaN otherwise).  A lane leaves
     the working arrays in the step it finishes; lanes still running
     after max_steps keep their initial step-limit code.  A g and f that
-    disagree on the slit half-height raise ConfigurationError.
+    disagree on the slit half-height raise ConfigurationError; a v0 that
+    is not finite and > 0, or a non-finite angle, raises ValueError.
 
     The state is the pairs (x, y) and u = tau * v, each a (2, n) array.  A
     step is u += (tau^2 / m) F(x, y), then x' = x + u: the map of
@@ -227,6 +228,8 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     time in proportion to the lanes retired.  Every operation is
     elementwise, so this reordering moves no bit of a result.
     """
+    if not (0 < v0 < math.inf and np.isfinite(alphas).all()):
+        raise ValueError("v0 must be finite and > 0, and every alpha finite")
     check_consistent(g, f)
     n = alphas.size
     codes = np.full(n, _STEPLIMIT, dtype=np.uint8)

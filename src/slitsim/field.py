@@ -54,8 +54,8 @@ class FieldParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.charge_product):
             raise ValueError("charge_product must be finite")
-        if not (self.slit_half_height > 0):
-            raise ValueError("slit_half_height must be > 0")
+        if not (0 < self.slit_half_height < math.inf):
+            raise ValueError("slit_half_height must be finite and > 0")
 
 
 def on_screen_surface(p: Vec2, params: FieldParams) -> bool:

@@ -38,12 +38,12 @@ class Geometry:
     max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not (self.emitter_distance > 0 and self.screen_gap > 0):
-            raise ValueError("emitter_distance and screen_gap must be > 0")
+        if not (0 < self.emitter_distance < math.inf and 0 < self.screen_gap < math.inf):
+            raise ValueError("emitter_distance and screen_gap must be finite and > 0")
         if not (0 <= self.particle_radius < self.slit_half_height):
             raise ValueError("particle_radius must satisfy 0 <= r < R")
-        if not (self.y_bound > self.slit_half_height):
-            raise ValueError("y_bound must exceed slit_half_height")
+        if not (self.slit_half_height < self.y_bound < math.inf):
+            raise ValueError("y_bound must be finite and exceed slit_half_height")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -158,8 +158,8 @@ def run_discrete_trajectory(alpha: float, v0: float, g: Geometry,
 
     alpha is the launch angle in radians measured from the +x axis.
     """
-    if not (v0 > 0):
-        raise ValueError("v0 must be > 0")
+    if not (0 < v0 < math.inf and math.isfinite(alpha)):
+        raise ValueError("v0 must be finite and > 0, and alpha finite")
     check_consistent(g, f)
     return _run(_emission_state(alpha, v0, g),
                 lambda s: step_discrete(s, f, sp), g, record)

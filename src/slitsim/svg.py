@@ -21,16 +21,9 @@ class Sketch(NamedTuple):
 def sketch(rec: TrajectoryRecord) -> Sketch:
     """Keep every ((len - 1) // _MAX_POINTS)-th point of a path of 2+ states, and its end."""
     path = rec.path
-    y_extent = 0.0
-    for s in path:
-        ay = abs(s.pos[1])
-        if ay > y_extent:
-            y_extent = ay
     stride = max(1, (len(path) - 1) // _MAX_POINTS)
-    pts = path[::stride]
-    if pts[-1] is not path[-1]:
-        pts.append(path[-1])
-    return Sketch(rec.outcome, y_extent, [s.pos for s in pts])
+    return Sketch(rec.outcome, max(abs(s.pos[1]) for s in path),
+                  [s.pos for s in path[:-1:stride]] + [path[-1].pos])
 
 
 def render_trajectories(sketches: list[Sketch], g: Geometry) -> str:

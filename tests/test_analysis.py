@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slitsim import HistogramSpec, find_extrema, oscillation_index, total_variation
-from slitsim.analysis import smooth
+from slitsim.analysis import _local_maxima, _prominence, smooth
 
 
 def spec_for(n_bins: int, width: float = 1.0) -> HistogramSpec:
@@ -17,6 +17,39 @@ def spec_for(n_bins: int, width: float = 1.0) -> HistogramSpec:
 def freqs_from_counts(counts):
     counts = np.asarray(counts, dtype=float)
     return counts / counts.sum(), int(counts.sum())
+
+
+def loop_local_maxima(v):
+    """Index-walking reference for `_local_maxima`."""
+    out, i = [], 1
+    while i < v.size - 1:
+        if v[i] > v[i - 1]:
+            j = i
+            while j + 1 < v.size and v[j + 1] == v[i]:
+                j += 1
+            if j < v.size - 1 and v[j + 1] < v[i]:
+                out.append((i + j) // 2)
+            i = j + 1
+        else:
+            i += 1
+    return out
+
+
+def loop_prominence(v, peak):
+    """Index-walking reference for `_prominence`."""
+    left = right = v[peak]
+    i = peak - 1
+    while i >= 0 and v[i] <= v[peak]:
+        left, i = min(left, v[i]), i - 1
+    i = peak + 1
+    while i < v.size and v[i] <= v[peak]:
+        right, i = min(right, v[i]), i + 1
+    return v[peak] - max(left, right)
+
+
+# short profiles of few levels, so plateaus and ties are common
+profiles = st.lists(st.integers(0, 3) | st.floats(0.0, 4.0), min_size=1,
+                    max_size=13).map(lambda v: np.array(v, dtype=float))
 
 
 class TestSmoothing:
@@ -109,6 +142,38 @@ class TestFindExtrema:
             find_extrema(np.zeros(3), spec_for(3).bin_centers(), 10, window=5)
         with pytest.raises(ValueError, match="n_detected"):
             find_extrema(np.zeros(20), spec_for(20).bin_centers(), -1)
+
+    @pytest.mark.parametrize("values, peaks", [
+        ([0, 5, 5, 0], [1]),
+        ([0, 5, 5, 5, 0], [2]),
+        ([5, 5, 0, 3, 0], [3]),
+        ([0, 3, 0, 5, 5], [1]),
+        ([0, 2, 2, 4, 0], [3]),
+        ([1, 1, 1], []),
+    ], ids=["even-plateau", "odd-plateau", "left-edge-run", "right-edge-run",
+            "shoulder", "flat"])
+    def test_plateau_rules(self, values, peaks):
+        """A plateau reports its centre (rounded down); a run touching an end
+        is never a maximum."""
+        found = _local_maxima(np.array(values, dtype=float))
+        assert found == peaks
+        assert all(type(i) is int for i in found)
+
+    def test_prominence_to_nearest_higher_point(self):
+        v = np.array([0, 3, 1, 5, 0], dtype=float)
+        assert _prominence(v, 1) == 2.0
+        assert _prominence(v, 3) == 5.0
+        assert _prominence(-v, 2) == 2.0
+
+    @given(v=profiles)
+    @settings(max_examples=300, deadline=None)
+    def test_helpers_match_the_loops(self, v):
+        """The array helpers give the loops' maxima and the same prominence
+        bits at every index, of v and of -v (the minima's profile)."""
+        for w in (v, -v):
+            assert _local_maxima(w) == loop_local_maxima(w)
+            for i in range(w.size):
+                assert _prominence(w, i) == loop_prominence(w, i)
 
 
 sub_prob = st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8).map(

@@ -284,6 +284,9 @@ class TestDomainErrors:
             FieldParams(charge_product=-1.0, slit_half_height=0.0)
         with pytest.raises(ValueError):
             FieldParams(charge_product=math.nan, slit_half_height=5.0)
+        for r in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="slit_half_height"):
+                FieldParams(charge_product=-1.0, slit_half_height=r)
         with pytest.raises(ValueError):
             QuadratureSpec(truncation_half_width=10.0, abs_tol=0.0)
 

@@ -128,11 +128,28 @@ class TestOutcomes:
             run_discrete_trajectory(0.0, 0.0, paper_geometry, paper_field, paper_step)
         with pytest.raises(ValueError):
             run_continuous_trajectory(0.0, -3.0, paper_geometry, paper_field)
+        # a short step budget, so an engine that accepts the launch stops soon
+        g = replace(paper_geometry, max_steps=100)
+        for v0 in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="v0"):
+                run_discrete_trajectory(0.0, v0, g, paper_field, paper_step)
+            with pytest.raises(ValueError, match="v0"):
+                simulate_batch(np.zeros(3), v0, g, paper_field, paper_step)
+        with pytest.raises(ValueError, match="alpha"):
+            run_discrete_trajectory(math.nan, 12.0, g, paper_field, paper_step)
+        with pytest.raises(ValueError, match="alpha"):
+            simulate_batch(np.array([0.1, math.nan, 0.2]), 12.0, g, paper_field,
+                           paper_step)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             Geometry(emitter_distance=0.0, screen_gap=25.0, slit_half_height=5.0,
                      particle_radius=0.2)
+        g = dict(emitter_distance=5.0, screen_gap=25.0, slit_half_height=5.0,
+                 particle_radius=0.2)
+        for length in ("emitter_distance", "screen_gap", "y_bound"):
+            with pytest.raises(ValueError, match=length):
+                Geometry(**{**g, length: math.inf})
         with pytest.raises(ValueError):
             Geometry(emitter_distance=5.0, screen_gap=25.0, slit_half_height=5.0,
                      particle_radius=5.0)
