@@ -86,8 +86,9 @@ class HistogramSpec:
     """Detector binning: equal-width cells over [y_min, y_max).
 
     bin_width must tile the range: the cell count (y_max - y_min) /
-    bin_width must be a whole number to a relative 1e-9, and at most 2**20
-    (8 MiB of counts).  Hits at or beyond y_max are overflow.
+    bin_width must be a whole number to a relative 1e-9, at least 2 (what
+    `analyze` reads back) and at most 2**20 (8 MiB of counts).  Hits at or
+    beyond y_max are overflow.
     """
 
     bin_width: float
@@ -100,10 +101,11 @@ class HistogramSpec:
         if not (self.y_min < self.y_max):
             raise ValueError("y_min must be < y_max")
         ratio = (self.y_max - self.y_min) / self.bin_width
-        if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * ratio
-                and round(ratio) >= 1):
+        if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * ratio):
             raise ValueError(f"bin_width {self.bin_width!r} does not tile "
                              f"[{self.y_min!r}, {self.y_max!r})")
+        if self.n_bins < 2:
+            raise ValueError(f"{self.n_bins} bin is too few: at least 2 are needed")
         if self.n_bins > _MAX_BINS:
             raise ValueError(f"{ratio:.15g} bins exceed the limit of {_MAX_BINS}")
 
@@ -254,7 +256,6 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     np.multiply(v0 * np.sin(alphas), tau, out=u[1])
 
     scratch = np.empty((2, n))
-    masks = np.empty((2, n), dtype=bool)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(g.max_steps):
@@ -274,17 +275,11 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             p, p1 = p1, p
 
             # Every lane: a superset of the lanes that end this step.
-            near, tmp = masks[:, :m]
             s0 = F[0]                                   # F is dead after the update
-            np.multiply(x, x1, out=s0)
-            np.less_equal(s0, 0.0, out=near)            # on or across x = 0
-            np.greater_equal(x1, d, out=tmp)
-            near |= tmp
-            np.less(x1, x_escape, out=tmp)
-            near |= tmp
-            np.abs(y1, out=s0)
-            np.greater(s0, y_bound, out=tmp)
-            near |= tmp
+            near = np.multiply(x, x1, out=s0) <= 0.0    # on or across x = 0
+            near |= x1 >= d
+            near |= x1 < x_escape
+            near |= np.abs(y1, out=s0) > y_bound
             ev = np.flatnonzero(near)
 
             # Flagged lanes only, in blocks of _EXACT_BLOCK so that the

@@ -3,8 +3,8 @@
 `paper_*` fixtures carry the canonical experiment values (attracting
 screen, speed 12).  With those values the detector plane at x = +25 sits
 above the reachable energy of the emitted particles (arrivals require
-v0 >= 13.86), so machinery tests that need detected outcomes use the
-`fast_*` variants at v0 = 15 instead.
+v0 > 13.775 at tau = 0.05), so machinery tests that need detected
+outcomes use the `fast_*` variants at v0 = 15 instead.
 """
 
 import math

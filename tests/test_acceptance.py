@@ -6,7 +6,8 @@ detector with the canonical parameter set (v0 = 12, detector plane at
 x = +25, unit mass).  With the sign-corrected field that configuration
 is energetically closed: total emission energy is 80.78 while the
 potential rise to the detector plane is 104.76, so the classical turning
-point sits at x = 20.75 and arrivals require v0 >= 13.86.  Direct
+point sits at x = 20.75 and arrivals require v0 > 13.775 at tau = 0.05
+(13.855 as tau -> 0; at v0 = 12 not below tau = 0.80).  Direct
 simulation confirms zero detections in 10^6 trajectories at tau = 0.05.
 Those three tests are implemented exactly as stated and fail honestly;
 see "Physics notes" in README.md for the full analysis.
@@ -128,7 +129,7 @@ def test_criterion_3_fringe_emergence():
     ok = n_max >= 3
     report(3, ok, f"detected {hist.n_detected}/1000000, {n_max} significant "
                   f"maxima (need >=3), wall {wall:.0f}s (target <120s on 4 cores); "
-                  f"arrivals require v0 >= 13.86, see README.md \"Physics notes\"")
+                  f"arrivals require v0 > 13.775 at tau 0.05, see README.md \"Physics notes\"")
     assert wall < 600.0
     assert n_max >= 3, (
         f"no fringe maxima: {hist.n_detected} of 1000000 trajectories detected "

@@ -432,6 +432,21 @@ class TestAnalyze:
         assert "k_sigma must be > 0 and finite" in capsys.readouterr().err
         assert not (tmp_path / "extrema.csv").exists()
 
+    def test_simulate_writes_only_what_analyze_reads(self, tmp_path, capsys):
+        """One cell would give a one-row distribution.csv that analyze
+        refuses, so simulate refuses the config (exit 2, naming the count);
+        two cells run through both."""
+        path = write_config(tmp_path, v0=15, n=200, bin_width=50, window=1)
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "one")]) == 2
+        assert "1 bin is too few" in capsys.readouterr().err
+        assert not (tmp_path / "one").exists()
+        path = write_config(tmp_path, v0=15, n=200, bin_width=25, window=1)
+        out = tmp_path / "two"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert len((out / "distribution.csv").read_text().splitlines()) == 3
+        assert main(["analyze", str(out / "distribution.csv"), "--window", "1"]) == 0
+
     def test_missing_csv_is_exit_3(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 3
 

@@ -43,6 +43,8 @@ from slitsim.config import (
 )
 from slitsim.ensemble import CHUNK_SIZE, simulate_batch, uniform01
 
+from oracle import run_continuous_trajectory
+
 HSPEC = HistogramSpec(bin_width=0.4, y_min=-25.0, y_max=25.0)
 FREE = FieldParams(charge_product=0.0, slit_half_height=5.0)
 SPLIT_LANES = 600
@@ -164,6 +166,10 @@ class TestHistogramAccounting:
         assert HSPEC.n_bins == 125
         with pytest.raises(ValueError, match="does not tile"):
             HistogramSpec(bin_width=0.4, y_min=0.0, y_max=1.0)
+        # analyze reads back at least 2 rows, so a spec has at least 2 cells
+        with pytest.raises(ValueError, match="1 bin is too few"):
+            HistogramSpec(bin_width=50.0, y_min=-25.0, y_max=25.0)
+        assert HistogramSpec(bin_width=25.0, y_min=-25.0, y_max=25.0).n_bins == 2
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -533,6 +539,33 @@ class TestFoldCensus:
         n_runs, folds = detected_runs_and_folds(codes, y)
         assert n_runs == 1
         assert folds == pytest.approx(fold_ys, abs=0.01)
+
+    def test_plus_4_fold_is_classical(self):
+        """The +4 fold converges at first order to the maximum of the RK4
+        map (h = 1.33e-4; the 9-angle grid's best point is within 2e-5 of
+        the refined maximum), on 20,001 angles over [25, 30.5] deg."""
+        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs"
+                           / "repulsive.cfg")
+        g, f = build_geometry(cfg), build_field(cfg)
+        rk4 = max(run_continuous_trajectory(math.radians(a), cfg.v0, g, f,
+                                            h=1.33e-4).outcome.y_hit
+                  for a in np.linspace(27.0, 29.5, 9))
+        assert rk4 == pytest.approx(3.79240, abs=1e-5)
+        folds = []
+        for tau in (0.05, 0.025, 0.0125, 0.00625):
+            c = replace(cfg, tau=tau, alpha_min_deg=25.0, alpha_max_deg=30.5,
+                        n=20_001)
+            e = build_emission(c)
+            codes, y = simulate_batch(emission_angles(e, 0, e.n), e.v0, g, f,
+                                      build_step(c))
+            _, fold_ys = detected_runs_and_folds(codes, y)
+            assert len(fold_ys) == 1, (tau, fold_ys)
+            folds += fold_ys
+        assert folds == pytest.approx([3.45175, 3.62602, 3.71021, 3.75156], abs=1e-5)
+        gaps = rk4 - np.array(folds)
+        ratios = gaps[:-1] / gaps[1:]
+        assert ((1.8 <= ratios) & (ratios <= 2.2)).all(), ratios
+        assert abs(2.0 * folds[3] - folds[2] - rk4) < 1e-3
 
 
 counts_arrays = st.lists(st.integers(0, 10_000), min_size=3, max_size=3)

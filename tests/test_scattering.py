@@ -19,7 +19,8 @@ from slitsim import (
     run_discrete_trajectory,
     run_ensemble,
 )
-from slitsim.ensemble import CHUNK_SIZE, simulate_batch
+from slitsim.ensemble import _DETECTED, CHUNK_SIZE, simulate_batch
+from slitsim.field import potential
 from slitsim.scattering import _segment_event
 
 from oracle import run_continuous_trajectory
@@ -40,7 +41,7 @@ class TestAxialAndFree:
         """On-axis symmetry: F_y = 0, so the hit lands exactly at y = 0.
 
         v0 = 14 clears the potential rise between slit and detector;
-        the canonical v0 = 12 cannot (threshold 13.86).
+        the canonical v0 = 12 cannot (threshold 13.775 at tau = 0.05).
         """
         rec = run_discrete_trajectory(0.0, 14.0, paper_geometry, paper_field, paper_step)
         assert isinstance(rec.outcome, Detected)
@@ -254,3 +255,58 @@ class TestContinuousAgreement:
             assert type(cont.outcome) is type(disc.outcome)
             if y_of(cont.outcome) is not None:
                 assert y_of(disc.outcome) == pytest.approx(y_of(cont.outcome), abs=0.02)
+
+
+def arrival_threshold(g, f, tau):
+    """The least v0 in [10, 20] at which the axial launch is detected, to
+    1e-11 by 40 bisection steps.  The bracket stays above 6.14, because
+    slower axial lanes stay trapped in the slit until max_steps."""
+    lo, hi = 10.0, 20.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        rec = run_discrete_trajectory(0.0, mid, g, f, StepParams(tau=tau))
+        lo, hi = (lo, mid) if isinstance(rec.outcome, Detected) else (mid, hi)
+    return hi
+
+
+class TestArrivalThreshold:
+    """Discrete time lowers the speed that reaches the detector plane, by
+    about 1.6 tau, and the classical sqrt(2 dU) is its tau -> 0 limit."""
+
+    def test_first_order_approach_to_classical(self, paper_geometry, paper_field):
+        """The gap to sqrt(2 dU) halves with tau, so one Richardson step
+        lands on it."""
+        du = (potential((25.0, 0.0), paper_field)
+              - potential((-5.0, 0.0), paper_field))
+        classical = math.sqrt(2.0 * du)
+        assert classical == pytest.approx(13.855152, abs=1e-6)
+        taus = (0.05, 0.02, 0.01, 0.005)
+        v = [arrival_threshold(paper_geometry, paper_field, tau) for tau in taus]
+        assert v == pytest.approx([13.775397, 13.823528, 13.839393, 13.847286],
+                                  abs=1e-6)
+        gaps = classical - np.array(v)
+        ratios = gaps[1:-1] / gaps[2:]              # tau 0.02 / 0.01, 0.01 / 0.005
+        assert ((1.9 <= ratios) & (ratios <= 2.1)).all(), ratios
+        assert abs(2.0 * v[3] - v[2] - classical) < 1e-4
+
+    @pytest.mark.parametrize("tau", [0.5, 0.05])
+    def test_no_angle_arrives_below_the_axial_threshold(self, paper_geometry,
+                                                        paper_field, tau):
+        """The axial launch is the first to arrive: 1e-6 below its threshold
+        no angle of the canonical fan is detected, 1e-6 above some are."""
+        v_star = arrival_threshold(paper_geometry, paper_field, tau)
+        alphas = np.radians(np.linspace(-45.5, 45.5, 20_001))
+        detected = [(simulate_batch(alphas, v_star + dv, paper_geometry, paper_field,
+                                    StepParams(tau=tau))[0] == _DETECTED).sum()
+                    for dv in (-1e-6, 1e-6)]
+        assert detected[0] == 0 and detected[1] > 0, detected
+
+    def test_canonical_speed_first_arrives_above_tau_080(self, paper_geometry,
+                                                         paper_field):
+        """At v0 = 12 the detector opens between tau = 0.80 and 0.85, far
+        above the tau <= 0.05 of the acceptance criteria."""
+        alphas = np.radians(np.linspace(-45.5, 45.5, 2_001))
+        detected = [(simulate_batch(alphas, 12.0, paper_geometry, paper_field,
+                                    StepParams(tau=tau))[0] == _DETECTED).sum()
+                    for tau in (0.80, 0.85)]
+        assert detected == [0, 67]
