@@ -66,13 +66,12 @@ def _tally_lines(h: Histogram) -> list[str]:
             if fd.name not in ("spec", "counts")]
 
 
-def _report_text(cfg: ExperimentConfig, body: list[str], wall: float) -> str:
-    lines = [f"slitsim {__version__} run report", ""]
-    lines += body
-    lines += ["", f"seed = {cfg.seed}", f"wall_time_s = {wall:.3f}", "",
-              "parameters:"]
+def _write_report(cfg: ExperimentConfig, body: list[str], t0: float) -> None:
+    """Write report.txt: the body, the wall time since t0 and the parameters."""
+    lines = [f"slitsim {__version__} run report", "", *body, "",
+             f"wall_time_s = {time.perf_counter() - t0:.3f}", "", "parameters:"]
     lines += ["  " + ln for ln in config_echo(cfg).splitlines()]
-    return "\n".join(lines) + "\n"
+    _write_text(Path(cfg.output_dir) / "report.txt", "\n".join(lines) + "\n")
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> Path:
@@ -82,9 +81,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> Path:
     hist = run_ensemble(build_emission(cfg), build_geometry(cfg),
                         build_field(cfg), build_step(cfg),
                         build_histogram_spec(cfg), workers=cfg.workers)
-    wall = time.perf_counter() - t0
     _write_text(out / "distribution.csv", _distribution_csv(hist))
-    _write_text(out / "report.txt", _report_text(cfg, _tally_lines(hist), wall))
+    _write_report(cfg, _tally_lines(hist), t0)
     return out
 
 
@@ -117,9 +115,7 @@ def cmd_sweep_tau(cfg: ExperimentConfig) -> Path:
             tv_lines.append(f"{ta!r},{tb!r},{tv:.17g}")
             body.append(f"tv(tau={ta!r}, tau={tb!r}) = {tv:.6g}")
     _write_text(out / "tv_report.csv", "\n".join(tv_lines) + "\n")
-
-    wall = time.perf_counter() - t0
-    _write_text(out / "report.txt", _report_text(cfg, body, wall))
+    _write_report(cfg, body, t0)
     return out
 
 
@@ -148,12 +144,11 @@ def cmd_trace(cfg: ExperimentConfig) -> Path:
             del rec
     _write_text(out / "trajectories.svg", render_trajectories(sketches, geom))
 
-    wall = time.perf_counter() - t0
     outcomes = [type(sk.outcome).__name__ for sk in sketches]
     body = [f"trajectories = {cfg.n}"]
     for name in ("Blocked", "Detected", "Escaped", "StepLimit"):
         body.append(f"{name.lower()} = {outcomes.count(name)}")
-    _write_text(out / "report.txt", _report_text(cfg, body, wall))
+    _write_report(cfg, body, t0)
     return out
 
 
@@ -206,18 +201,19 @@ def analyze_distribution(path: Path, window: int, k_sigma: float) -> tuple[Extre
 
 def cmd_analyze(csv_path: Path, window: int, k_sigma: float,
                 out_dir: Path | None = None) -> ExtremaReport:
-    """Print the extrema table and write extrema.csv next to the input."""
+    """Write extrema.csv next to the input, then print the extrema table."""
     report, n_detected = analyze_distribution(csv_path, window, k_sigma)
     out = out_dir if out_dir is not None else Path(csv_path).parent
-    lines = ["kind,bin_center,height,prominence"]
+    rows = ([("maximum", *e) for e in report.maxima]
+            + [("minimum", *e) for e in report.minima])
+    # the file first: a reader that closes stdout early must not lose it
+    _write_text(out / "extrema.csv", "kind,bin_center,height,prominence\n" + "".join(
+        f"{kind},{c:.17g},{h:.17g},{p:.17g}\n" for kind, c, h, p in rows))
     print(f"{csv_path}: n_detected={n_detected} window={window} "
           f"k_sigma={k_sigma:g}")
     print(f"{'kind':8} {'bin_center':>12} {'height':>12} {'prominence':>12}")
-    for kind, entries in (("maximum", report.maxima), ("minimum", report.minima)):
-        for center, height, prom in entries:
-            print(f"{kind:8} {center:12.4f} {height:12.6g} {prom:12.6g}")
-            lines.append(f"{kind},{center:.17g},{height:.17g},{prom:.17g}")
-    _write_text(out / "extrema.csv", "\n".join(lines) + "\n")
+    for kind, c, h, p in rows:
+        print(f"{kind:8} {c:12.4f} {h:12.6g} {p:12.6g}")
     return report
 
 

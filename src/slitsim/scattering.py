@@ -101,19 +101,20 @@ def _segment_event(x0: float, y0: float, x1: float, y1: float,
                    aperture: float, detector_x: float):
     """Terminal event on the segment (x0,y0) -> (x1,y1), or None.
 
-    Returns ("blocked", y, lam) or ("detected", y, lam), lam the segment
-    fraction.  The screen plane comes first: a segment that crosses x = 0
-    at |y| >= aperture is blocked there, and only a segment that is not
+    Returns (x, y, lam): the point where the segment ends, x = 0.0 for a
+    block and x = detector_x for a hit, and lam the segment fraction.
+    The screen plane comes first: a segment that crosses x = 0 at
+    |y| >= aperture is blocked there, and only a segment that is not
     blocked can be detected at x = detector_x.
     """
     if (x0 < 0.0 and x1 >= 0.0) or (x0 > 0.0 and x1 <= 0.0):
         lam = x0 / (x0 - x1)
         yc = y0 + lam * (y1 - y0)
         if abs(yc) >= aperture:
-            return ("blocked", yc, lam)
+            return (0.0, yc, lam)
     if x0 < detector_x <= x1:
         lam = (detector_x - x0) / (x1 - x0)
-        return ("detected", y0 + lam * (y1 - y0), lam)
+        return (detector_x, y0 + lam * (y1 - y0), lam)
     return None
 
 
@@ -135,14 +136,12 @@ def _run(s: ParticleState, advance, g: Geometry, record: bool) -> TrajectoryReco
         ev = _segment_event(cur.pos[0], cur.pos[1], nxt.pos[0], nxt.pos[1],
                             aperture, d)
         if ev is not None:
-            kind, yc, lam = ev
+            xc, yc, lam = ev
             t = cur.t + lam * (nxt.t - cur.t)
             if record:
-                xc = 0.0 if kind == "blocked" else d
                 path.append(ParticleState(pos=Vec2(xc, yc), vel=nxt.vel, t=t))
-            if kind == "blocked":
-                return TrajectoryRecord(Blocked(y_impact=yc), path, step)
-            return TrajectoryRecord(Detected(y_hit=yc, t_hit=t), path, step)
+            return TrajectoryRecord(Detected(y_hit=yc, t_hit=t) if xc == d
+                                    else Blocked(y_impact=yc), path, step)
         if record:
             path.append(nxt)
         if abs(nxt.pos[1]) > g.y_bound or nxt.pos[0] < g.x_escape:

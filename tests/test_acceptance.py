@@ -31,6 +31,7 @@ from slitsim import (
     find_extrema,
     force_closed_form,
     merge,
+    normalize,
     oscillation_index,
     run_ensemble,
     step_discrete,
@@ -59,12 +60,6 @@ def canonical_ensemble(tau: float, n: int, workers: int = 2) -> Histogram:
                      n=n, seed=SEED)
     return run_ensemble(e, GEOMETRY, FIELD, StepParams(tau=tau), HSPEC,
                         workers=workers)
-
-
-def frequencies_or_zeros(h: Histogram) -> np.ndarray:
-    if h.n_detected > 0:
-        return h.counts / float(h.n_detected)
-    return np.zeros_like(h.counts, dtype=float)
 
 
 def test_criterion_1_force_oracle_equivalence():
@@ -121,7 +116,7 @@ def test_criterion_3_fringe_emergence():
     """
     t0 = time.perf_counter()
     hist = canonical_ensemble(tau=0.05, n=1_000_000)
-    freqs = frequencies_or_zeros(hist)
+    freqs = normalize(hist)
     rep = find_extrema(freqs, HSPEC.bin_centers(), hist.n_detected,
                        window=5, k_sigma=5.0)
     wall = time.perf_counter() - t0
@@ -148,10 +143,10 @@ def test_criterion_4_decoherence_analog():
     idx = {}
     for tau in (0.05, 0.01, 0.001):
         h = canonical_ensemble(tau=tau, n=100_000)
-        idx[tau] = oscillation_index(frequencies_or_zeros(h), window=5)
+        idx[tau] = oscillation_index(normalize(h), window=5)
     fine_a = canonical_ensemble(tau=5e-4, n=100_000)
     fine_b = canonical_ensemble(tau=2.5e-4, n=100_000)
-    tv = total_variation(frequencies_or_zeros(fine_a), frequencies_or_zeros(fine_b))
+    tv = total_variation(normalize(fine_a), normalize(fine_b))
     wall = time.perf_counter() - t0
     ordered = idx[0.05] > idx[0.01] > idx[0.001]
     ok = ordered and tv <= 0.05 and wall < 600.0

@@ -390,6 +390,19 @@ class TestTrace:
         assert sk.y_extent == 99.5
 
 
+class TestReport:
+    def test_one_seed_line_and_one_wall_time(self, tmp_path):
+        """simulate, sweep-tau and trace write report.txt through one writer:
+        the seed appears once, in the parameter echo, with one wall time."""
+        cfg = ExperimentConfig(tau_list=(0.05, 0.01), **dict(FAST, n=200))
+        for cmd in (cmd_simulate, cmd_sweep_tau, cmd_trace):
+            out = cmd(replace(cfg, output_dir=str(tmp_path / cmd.__name__)))
+            report = (out / "report.txt").read_text().splitlines()
+            assert [ln for ln in report if ln.strip().startswith("seed =")] == [
+                f"  seed = {cfg.seed}"], cmd.__name__
+            assert sum(ln.startswith("wall_time_s = ") for ln in report) == 1
+
+
 class TestAnalyze:
     def test_single_peak_csv(self, tmp_path):
         lines = ["bin_center,count,frequency"]
@@ -446,6 +459,28 @@ class TestAnalyze:
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         assert len((out / "distribution.csv").read_text().splitlines()) == 3
         assert main(["analyze", str(out / "distribution.csv"), "--window", "1"]) == 0
+
+    def test_closed_stdout_keeps_extrema_csv(self, tmp_path, monkeypatch, capsys):
+        """extrema.csv is written before the table is printed, so a reader
+        that closes the pipe early (`| head -1`) costs the table only: exit 3
+        and the same file as a full run."""
+        csv = tmp_path / "dist.csv"
+        counts = [0, 2, 10, 40, 90, 40, 10, 30, 80, 30, 5, 0]
+        csv.write_text("\n".join([HEADER] + [f"{i - 6.0},{c},{c / sum(counts)!r}"
+                                              for i, c in enumerate(counts)]) + "\n")
+        argv = ["analyze", str(csv), "--window", "1", "--k-sigma", "1", "--out"]
+        assert main(argv + [str(tmp_path / "full")]) == 0
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(argv + [str(tmp_path / "cut")]) == 3
+        assert "Broken pipe" in capsys.readouterr().err
+        full = (tmp_path / "full" / "extrema.csv").read_bytes()
+        assert len(full.splitlines()) > 2
+        assert (tmp_path / "cut" / "extrema.csv").read_bytes() == full
 
     def test_missing_csv_is_exit_3(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 3

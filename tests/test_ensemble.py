@@ -567,6 +567,42 @@ class TestFoldCensus:
         assert ((1.8 <= ratios) & (ratios <= 2.2)).all(), ratios
         assert abs(2.0 * folds[3] - folds[2] - rk4) < 1e-3
 
+    def test_plus_1_folds_where_the_edge_kick_is_large(self):
+        """The +1 screen folds where tau^2 |qs| / delta_min is large.
+
+        A sample at distance delta from a slit edge (0, +-R) takes a kick of
+        about tau^2 qs ln delta^2.  delta_min is the least such distance over
+        the detected lanes of 361 recorded angles on [0, 45.5] deg, each
+        path's final hit point left out; the folds are counted on the
+        50,001-angle half sweep.  delta_min alone does not sort the taus:
+        0.125 has 0.156 and no fold."""
+        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs"
+                           / "repulsive.cfg")
+        cfg = replace(cfg, charge_product=1.0, alpha_min_deg=0.0)
+        g, f = build_geometry(cfg), build_field(cfg)
+        taus = (0.6, 0.53, 0.5, 0.45, 0.4, 0.3, 0.25, 0.2, 0.125, 0.1, 0.0625, 0.05)
+        n_folds, delta = {}, {}
+        for tau in taus:
+            c = replace(cfg, tau=tau, n=50_001)
+            e = build_emission(c)
+            codes, y = simulate_batch(emission_angles(e, 0, e.n), e.v0, g, f,
+                                      build_step(c))
+            n_folds[tau] = len(detected_runs_and_folds(codes, y)[1])
+            delta[tau] = math.inf
+            for a in emission_angles(build_emission(replace(c, n=361)), 0, 361):
+                rec = run_discrete_trajectory(a, e.v0, g, f, build_step(c),
+                                              record=True)
+                if isinstance(rec.outcome, Detected):
+                    xy = np.array([s.pos for s in rec.path[:-1]])
+                    delta[tau] = min(delta[tau], np.hypot(
+                        xy[:, 0], np.abs(xy[:, 1]) - cfg.slit_half_height).min())
+        assert delta[0.25] < 0.3 and delta[0.3] > 1, delta
+        assert n_folds == {tau: int(tau in (0.53, 0.5, 0.25)) for tau in taus}
+        ratio = {tau: tau ** 2 * abs(cfg.charge_product) / delta[tau] for tau in taus}
+        with_fold = min(ratio[tau] for tau in taus if n_folds[tau])
+        without = max(ratio[tau] for tau in taus if not n_folds[tau])
+        assert with_fold > without, (with_fold, without)
+
 
 counts_arrays = st.lists(st.integers(0, 10_000), min_size=3, max_size=3)
 

@@ -212,20 +212,20 @@ class TestCrossingDetection:
         and a pass through the slit does not."""
         # segment passes the plane (blocked region) then would reach x=25
         ev = _segment_event(-1.0, 6.0, 30.0, 6.0, aperture=4.8, detector_x=25.0)
-        assert ev[0] == "blocked"
+        assert ev[0] == 0.0
         # through the slit then on to the detector in a single segment
         ev = _segment_event(-1.0, 0.0, 30.0, 0.0, aperture=4.8, detector_x=25.0)
-        assert ev[0] == "detected"
+        assert ev[0] == 25.0
         # no plane crossing at all
         assert _segment_event(1.0, 0.0, 2.0, 0.0, 4.8, 25.0) is None
         # both fractions round to 0.5: the screen plane still comes first
         ev = _segment_event(-1e18, 0.0, 1e18, 12.0, aperture=4.8, detector_x=25.0)
-        assert ev == ("blocked", 6.0, 0.5)
+        assert ev == (0.0, 6.0, 0.5)
 
     def test_reapproach_from_the_right_uses_same_rule(self, paper_field):
         """Segments crossing back from x > 0 are blocked outside the aperture."""
         ev = _segment_event(0.5, 5.5, -0.5, 5.5, aperture=4.8, detector_x=25.0)
-        assert ev[0] == "blocked"
+        assert ev[0] == 0.0
         ev = _segment_event(0.5, 1.0, -0.5, 1.0, aperture=4.8, detector_x=25.0)
         assert ev is None
 
