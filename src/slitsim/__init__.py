@@ -22,12 +22,7 @@ from .ensemble import (
     normalize,
     run_ensemble,
 )
-from .errors import (
-    ConfigurationError,
-    ScreenSurfaceError,
-    SlitSimError,
-    SpecMismatchError,
-)
+from .errors import ConfigurationError, ScreenSurfaceError
 from .field import FieldParams, Vec2, force_closed_form, potential
 from .scattering import (
     Blocked,
@@ -56,8 +51,6 @@ __all__ = [
     "Outcome",
     "ParticleState",
     "ScreenSurfaceError",
-    "SlitSimError",
-    "SpecMismatchError",
     "StepLimit",
     "StepParams",
     "TrajectoryRecord",

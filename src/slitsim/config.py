@@ -71,11 +71,10 @@ class ExperimentConfig:
                 raise ValueError("tau_list must be descending")
             build_field(self)
             build_geometry(self)
-            build_step(self)
+            for tau in (self.tau, *self.tau_list):
+                build_step(self, tau=tau)
             build_emission(self)
             spec = build_histogram_spec(self)
-            for tau in self.tau_list:
-                StepParams(tau=tau, mass=self.mass)
             if self.workers < 1:
                 raise ValueError("workers must be >= 1")
             # window and k_sigma: the analysis's own checks, on an empty profile

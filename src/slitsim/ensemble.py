@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import StepParams
-from .errors import SpecMismatchError
+from .errors import ConfigurationError
 from .field import FieldParams, force_batch
 from .scattering import Geometry, check_consistent
 
@@ -152,7 +152,7 @@ class Histogram:
 def merge(a: Histogram, b: Histogram) -> Histogram:
     """Elementwise sum; commutative and associative, identity Histogram.zero."""
     if a.spec != b.spec:
-        raise SpecMismatchError(f"histogram specs differ: {a.spec} vs {b.spec}")
+        raise ConfigurationError(f"histogram specs differ: {a.spec} vs {b.spec}")
     sums = {fd.name: getattr(a, fd.name) + getattr(b, fd.name)
             for fd in fields(Histogram) if fd.name != "spec"}
     return Histogram(spec=a.spec, **sums)

@@ -1,17 +1,9 @@
 """Exception types shared across the package."""
 
 
-class SlitSimError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class ScreenSurfaceError(SlitSimError, ValueError):
+class ScreenSurfaceError(ValueError):
     """Evaluation requested on the charged screen surface (x = 0, |y| >= R)."""
 
 
-class ConfigurationError(SlitSimError, ValueError):
+class ConfigurationError(ValueError):
     """Inconsistent or invalid run parameters."""
-
-
-class SpecMismatchError(SlitSimError, ValueError):
-    """Histograms with different bin layouts cannot be combined."""

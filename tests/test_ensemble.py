@@ -17,6 +17,7 @@ from scipy.stats import chi2
 
 from slitsim import (
     Blocked,
+    ConfigurationError,
     Detected,
     EmissionSpec,
     Escaped,
@@ -24,7 +25,6 @@ from slitsim import (
     Geometry,
     Histogram,
     HistogramSpec,
-    SpecMismatchError,
     StepLimit,
     StepParams,
     emission_angles,
@@ -515,6 +515,30 @@ def detected_runs_and_folds(codes, y):
     return len(runs), folds
 
 
+def half_sweep_folds(cfg):
+    """The fold ys of cfg's angle -> y map on 50,001 swept angles."""
+    c = replace(cfg, n=50_001)
+    e = build_emission(c)
+    codes, y = simulate_batch(emission_angles(e, 0, e.n), e.v0, build_geometry(c),
+                              build_field(c), build_step(c))
+    return detected_runs_and_folds(codes, y)[1]
+
+
+def edge_distance_min(cfg):
+    """delta_min: the least distance from a slit edge (0, +-R) over the
+    detected paths of 361 recorded angles, each path's final hit point left
+    out."""
+    g, f, sp = build_geometry(cfg), build_field(cfg), build_step(cfg)
+    delta = math.inf
+    for a in emission_angles(build_emission(replace(cfg, n=361)), 0, 361):
+        rec = run_discrete_trajectory(a, cfg.v0, g, f, sp, record=True)
+        if isinstance(rec.outcome, Detected):
+            xy = np.array([s.pos for s in rec.path[:-1]])
+            delta = min(delta, np.hypot(
+                xy[:, 0], np.abs(xy[:, 1]) - cfg.slit_half_height).min())
+    return delta
+
+
 class TestFoldCensus:
     @pytest.mark.parametrize("charge, tau, fold_ys", [
         pytest.param(-1.0, 0.05, [], id="attracting-0.05"),
@@ -571,37 +595,63 @@ class TestFoldCensus:
         """The +1 screen folds where tau^2 |qs| / delta_min is large.
 
         A sample at distance delta from a slit edge (0, +-R) takes a kick of
-        about tau^2 qs ln delta^2.  delta_min is the least such distance over
-        the detected lanes of 361 recorded angles on [0, 45.5] deg, each
-        path's final hit point left out; the folds are counted on the
+        about tau^2 qs ln delta^2.  delta_min (`edge_distance_min`) is the
+        least such distance on [0, 45.5] deg; the folds are counted on the
         50,001-angle half sweep.  delta_min alone does not sort the taus:
         0.125 has 0.156 and no fold."""
         cfg = parse_config(Path(__file__).resolve().parents[1] / "configs"
                            / "repulsive.cfg")
         cfg = replace(cfg, charge_product=1.0, alpha_min_deg=0.0)
-        g, f = build_geometry(cfg), build_field(cfg)
         taus = (0.6, 0.53, 0.5, 0.45, 0.4, 0.3, 0.25, 0.2, 0.125, 0.1, 0.0625, 0.05)
         n_folds, delta = {}, {}
         for tau in taus:
-            c = replace(cfg, tau=tau, n=50_001)
-            e = build_emission(c)
-            codes, y = simulate_batch(emission_angles(e, 0, e.n), e.v0, g, f,
-                                      build_step(c))
-            n_folds[tau] = len(detected_runs_and_folds(codes, y)[1])
-            delta[tau] = math.inf
-            for a in emission_angles(build_emission(replace(c, n=361)), 0, 361):
-                rec = run_discrete_trajectory(a, e.v0, g, f, build_step(c),
-                                              record=True)
-                if isinstance(rec.outcome, Detected):
-                    xy = np.array([s.pos for s in rec.path[:-1]])
-                    delta[tau] = min(delta[tau], np.hypot(
-                        xy[:, 0], np.abs(xy[:, 1]) - cfg.slit_half_height).min())
+            c = replace(cfg, tau=tau)
+            n_folds[tau] = len(half_sweep_folds(c))
+            delta[tau] = edge_distance_min(c)
         assert delta[0.25] < 0.3 and delta[0.3] > 1, delta
         assert n_folds == {tau: int(tau in (0.53, 0.5, 0.25)) for tau in taus}
         ratio = {tau: tau ** 2 * abs(cfg.charge_product) / delta[tau] for tau in taus}
         with_fold = min(ratio[tau] for tau in taus if n_folds[tau])
         without = max(ratio[tau] for tau in taus if not n_folds[tau])
         assert with_fold > without, (with_fold, without)
+
+    def test_plus_1_fold_window_follows_the_step_lattice(self):
+        """At tau = 0.25 the +1 fold moves with the emitter distance D, not
+        with the particle radius, and needs a coarse step.
+
+        On D = 4.5, 4.75, ..., 9.5 the half sweep folds at exactly D = 5.0,
+        8.5 and 8.75.  The two windows are centred 3.625 apart, just under
+        one launch step v0 tau = 3.75, and delta_min peaks at 1.475 between
+        them (D = 7.0).  Every fold has delta_min < 0.25 and no D with
+        delta_min > 0.25 folds, but not conversely: D = 4.75 has 0.220 and
+        no fold.  A particle radius of 0.05 to 0.3 keeps the one fold at
+        y = 16.0429; 0.4 and 0.6 block the lanes that pass the edge closely
+        and fold nowhere.  At tau = 0.05, D = 5.0 and 8.5 do not fold."""
+        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs"
+                           / "repulsive.cfg")
+        cfg = replace(cfg, charge_product=1.0, alpha_min_deg=0.0, tau=0.25)
+        ds = [4.5 + 0.25 * k for k in range(21)]
+        fold_ys, delta = {}, {}
+        for d in ds:
+            c = replace(cfg, emitter_distance=d)
+            fold_ys[d], delta[d] = half_sweep_folds(c), edge_distance_min(c)
+        folding = [d for d in ds if fold_ys[d]]
+        assert folding == [5.0, 8.5, 8.75], fold_ys
+        assert [y for d in folding for y in fold_ys[d]] == pytest.approx(
+            [16.043, 10.197, 9.969], abs=1e-3)
+        assert all(delta[d] < 0.25 for d in folding), delta
+        assert not any(fold_ys[d] for d in ds if delta[d] > 0.25), delta
+        assert delta[4.75] < 0.25 and delta[7.0] > 1.4, delta
+        windows = np.split(folding, np.flatnonzero(np.diff(folding) > 0.25) + 1)
+        centres = [w.mean() for w in windows]
+        assert len(centres) == 2 and 3.0 < centres[1] - centres[0] < cfg.v0 * cfg.tau
+        radii = (0.05, 0.1, 0.2, 0.3, 0.4, 0.6)
+        by_radius = [replace(cfg, particle_radius=r) for r in radii]
+        assert [half_sweep_folds(c) for c in by_radius] == [
+            pytest.approx([16.0429], abs=1e-4)] * 4 + [[], []]
+        assert np.all(np.diff([edge_distance_min(c) for c in by_radius]) > 0)
+        for d in (5.0, 8.5):
+            assert half_sweep_folds(replace(cfg, emitter_distance=d, tau=0.05)) == []
 
 
 counts_arrays = st.lists(st.integers(0, 10_000), min_size=3, max_size=3)
@@ -646,7 +696,7 @@ class TestMergeMonoid:
 
     def test_spec_mismatch(self):
         other = Histogram.zero(HistogramSpec(bin_width=0.5, y_min=-25.0, y_max=25.0))
-        with pytest.raises(SpecMismatchError):
+        with pytest.raises(ConfigurationError, match="histogram specs differ"):
             merge(make_hist([1]), other)
 
 
