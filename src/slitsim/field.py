@@ -118,20 +118,20 @@ def force_batch(x: np.ndarray, y: np.ndarray, params: FieldParams,
     fx, fy, d1, d2 = np.empty((4,) + np.shape(x)) if out is None else out
     np.subtract(R, y, out=d1)
     np.add(y, R, out=d2)
-    np.multiply(x, x, out=fy)                   # x^2 until F_y
+    np.square(x, out=fy)                        # x^2 until F_y
     np.multiply(d1, d2, out=fx)
     np.subtract(fx, fy, out=fx)
-    np.multiply(d1, d1, out=d1)
+    np.square(d1, out=d1)
     np.add(fy, d1, out=d1)
-    np.multiply(d2, d2, out=d2)
+    np.square(d2, out=d2)
     np.add(fy, d2, out=d2)
     np.multiply(x, 2.0 * R, out=fy)
     np.arctan2(fy, fx, out=fx)
     np.multiply(fx, 2.0 * qs, out=fx)
     np.log(d1, out=d1)
     np.log(d2, out=d2)
-    np.subtract(d1, d2, out=fy)
-    np.multiply(fy, qs, out=fy)
+    np.subtract(d1, d2, out=d1)
+    np.multiply(d1, qs, out=fy)
     return fx, fy
 
 

@@ -1,14 +1,16 @@
 """Print one `case sha256` line per kernel case, to compare two trees.
 
 The hash covers `codes.tobytes() + y_final.tobytes()` from
-`ensemble.simulate_batch` on 36 cases:
+`ensemble.simulate_batch` on 37 cases:
 
   * the 12 kernel-grid cases: v0 {12, 15} x tau {0.05, 0.01, 0.001} x
     mode {random, sweep}, 16384 lanes, seed 1;
   * 20 step-limited batches: v0 {12, 15} x tau {0.05, 0.01} x
     max_steps {1, 7, 30, 60, 100}, 4096 lanes, seed 3;
   * 4 repulsive-screen sweeps (charge product +4, v0 15) at
-    tau {0.5, 0.3, 0.1, 0.05}, 16384 lanes.
+    tau {0.5, 0.3, 0.1, 0.05}, 16384 lanes;
+  * 1 batch of 16383 lanes, v0 15, tau 0.01, seed 1: a lane count that
+    is not a multiple of 8, so the state rows carry padding.
 
 A change that should move no output bit prints the same lines before
 and after it:
@@ -52,6 +54,8 @@ def cases():
         yield (f"repulsive+4 v0=15 tau={tau:g} sweep",
                replace(base, charge_product=4.0, v0=15.0, tau=tau,
                        mode="sweep", n=16384))
+    yield ("padded v0=15 tau=0.01 n=16383",
+           replace(base, v0=15.0, tau=0.01, n=16383, seed=1))
 
 
 def digest(cfg: ExperimentConfig) -> str:

@@ -453,6 +453,21 @@ class TestDeterminism:
         assert peak / e.n <= 100
 
 
+class TestStateRows:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 16_383, 16_384])
+    def test_rows_start_on_64_byte_lines(self, n):
+        """Each state pair is (2, n), its rows contiguous and 64-byte
+        aligned, and no two pairs share memory."""
+        pairs = [ensemble._aligned_pair(n) for _ in range(4)]
+        for i, pair in enumerate(pairs):
+            assert pair.shape == (2, n)
+            for row in pair:
+                assert row.flags.c_contiguous
+                assert row.ctypes.data % 64 == 0
+            for other in pairs[i + 1:]:
+                assert not np.shares_memory(pair, other)
+
+
 class TestMirrorSymmetry:
     @pytest.mark.parametrize("charge", [-1.0, 1.0, 4.0])
     def test_kernel_mirror_exact(self, paper_geometry, charge):
