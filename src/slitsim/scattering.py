@@ -1,7 +1,7 @@
 """Single-particle runs from emitter to termination.
 
-A particle starts at (-D, 0) with speed v0 at angle alpha and is stepped
-until one of four things happens:
+`_run` checks a launch, starts the particle at (-D, 0) with speed v0 at
+angle alpha and steps it until one of four things happens:
 
   Blocked   - its segment crossed the screen plane x = 0 with the
               interpolated |y| at or beyond the effective aperture R - r
@@ -118,19 +118,17 @@ def _segment_event(x0: float, y0: float, x1: float, y1: float,
     return None
 
 
-def _emission_state(alpha: float, v0: float, g: Geometry) -> ParticleState:
-    return ParticleState(
-        pos=Vec2(-g.emitter_distance, 0.0),
-        vel=Vec2(v0 * math.cos(alpha), v0 * math.sin(alpha)),
-        t=0.0,
-    )
-
-
-def _run(s: ParticleState, advance, g: Geometry, record: bool) -> TrajectoryRecord:
-    path = [s] if record else None
+def _run(alpha: float, v0: float, g: Geometry, f: FieldParams, advance,
+         record: bool) -> TrajectoryRecord:
+    """Check a per-trajectory launch, start it at (-D, 0) and step it to its end."""
+    if not (0 < v0 < math.inf and math.isfinite(alpha)):
+        raise ValueError("v0 must be finite and > 0, and alpha finite")
+    check_consistent(g, f)
+    cur = ParticleState(pos=Vec2(-g.emitter_distance, 0.0),
+                        vel=Vec2(v0 * math.cos(alpha), v0 * math.sin(alpha)), t=0.0)
+    path = [cur] if record else None
     aperture = g.aperture
     d = g.screen_gap
-    cur = s
     for step in range(1, g.max_steps + 1):
         nxt = advance(cur)
         ev = _segment_event(cur.pos[0], cur.pos[1], nxt.pos[0], nxt.pos[1],
@@ -157,8 +155,4 @@ def run_discrete_trajectory(alpha: float, v0: float, g: Geometry,
 
     alpha is the launch angle in radians measured from the +x axis.
     """
-    if not (0 < v0 < math.inf and math.isfinite(alpha)):
-        raise ValueError("v0 must be finite and > 0, and alpha finite")
-    check_consistent(g, f)
-    return _run(_emission_state(alpha, v0, g),
-                lambda s: step_discrete(s, f, sp), g, record)
+    return _run(alpha, v0, g, f, lambda s: step_discrete(s, f, sp), record)

@@ -12,6 +12,12 @@ The hash covers `codes.tobytes() + y_final.tobytes()` from
   * 1 batch of 16383 lanes, v0 15, tau 0.01, seed 1: a lane count that
     is not a multiple of 8, so the state rows carry padding.
 
+It then prints one `cli <config> <command> <file> sha256` line for each
+data file the command line writes from each `configs/*.cfg`: `simulate
+--n 20000`, `sweep-tau --n 20000`, `trace --n 60`, and `analyze --window
+3 --k-sigma 2` on every distribution those runs wrote.  `report.txt` is
+left out: it holds the wall time and the output directory.
+
 A change that should move no output bit prints the same lines before
 and after it:
 
@@ -24,9 +30,14 @@ The file name keeps it out of pytest's collection.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
+from slitsim.cli import main
 from slitsim.config import (
     ExperimentConfig,
     build_emission,
@@ -66,6 +77,33 @@ def digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(codes.tobytes() + y_final.tobytes()).hexdigest()
 
 
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def cli_digests(tmp: Path):
+    """(config, command, file, sha256) for every CLI data file."""
+    run_flags = {"simulate": ["--n", "20000"], "sweep-tau": ["--n", "20000"],
+                 "trace": ["--n", "60"]}
+    for cfg in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")):
+        for command, flags in run_flags.items():
+            out = tmp / cfg.stem / command
+            assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
+            for f in sorted(out.iterdir()):
+                if f.name != "report.txt":
+                    yield cfg.name, command, f"{command}/{f.name}", sha256(f)
+        for dist in sorted((tmp / cfg.stem).glob("*/distribution*.csv")):
+            name = f"{dist.parent.name}/{dist.name}"
+            out = tmp / cfg.stem / "analyze" / name
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["analyze", str(dist), "--window", "3", "--k-sigma", "2",
+                             "--out", str(out)]) == 0
+            yield cfg.name, "analyze", f"{name}/extrema.csv", sha256(out / "extrema.csv")
+
+
 if __name__ == "__main__":
     for name, cfg in cases():
         print(name, digest(cfg), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in cli_digests(Path(tmp)):
+            print("cli", *line, flush=True)

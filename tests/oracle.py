@@ -26,13 +26,7 @@ from scipy.integrate import quad
 
 from slitsim.dynamics import ParticleState
 from slitsim.field import FieldParams, Vec2, _check_point, _force_scalar
-from slitsim.scattering import (
-    Geometry,
-    TrajectoryRecord,
-    _emission_state,
-    _run,
-    check_consistent,
-)
+from slitsim.scattering import Geometry, TrajectoryRecord, _run
 
 
 class ToleranceNotMetError(RuntimeError):
@@ -187,15 +181,13 @@ def run_continuous_trajectory(alpha: float, v0: float, g: Geometry,
                               record: bool = False) -> TrajectoryRecord:
     """Reference run with the 4th-order integrator, the tau -> 0 limit.
 
-    Default step: h = 1e-4 * D / v0.  Crossing rules are identical to the
-    discrete runner.
+    Default step: h = 1e-4 * D / v0.  The launch checks and crossing
+    rules are the discrete runner's, both in `_run`.
     """
     if not (v0 > 0):
         raise ValueError("v0 must be > 0")
-    check_consistent(g, f)
     if h is None:
         h = 1e-4 * g.emitter_distance / v0
     if not (h > 0):
         raise ValueError("h must be > 0")
-    return _run(_emission_state(alpha, v0, g),
-                lambda s: rk4_step(s, f, mass, h), g, record)
+    return _run(alpha, v0, g, f, lambda s: rk4_step(s, f, mass, h), record)

@@ -519,10 +519,10 @@ class TestMirrorSymmetry:
 
 def detected_runs_and_folds(codes, y):
     """The number of detected runs (stretches of consecutive detected
-    lanes) and the y of each fold: a sign change of consecutive dy inside
-    one run."""
+    lanes, none when no lane is detected) and the y of each fold: a sign
+    change of consecutive dy inside one run."""
     det = np.flatnonzero(codes == 2)
-    runs = np.split(det, np.flatnonzero(np.diff(det) > 1) + 1)
+    runs = np.split(det, np.flatnonzero(np.diff(det) > 1) + 1) if det.size else []
     folds = []
     for run in runs:
         dy = np.diff(y[run])
@@ -531,12 +531,13 @@ def detected_runs_and_folds(codes, y):
 
 
 def half_sweep_folds(cfg):
-    """The fold ys of cfg's angle -> y map on 50,001 swept angles."""
+    """The detected-run count and fold ys of cfg's angle -> y map on 50,001
+    swept angles."""
     c = replace(cfg, n=50_001)
     e = build_emission(c)
     codes, y = simulate_batch(emission_angles(e, 0, e.n), e.v0, build_geometry(c),
                               build_field(c), build_step(c))
-    return detected_runs_and_folds(codes, y)[1]
+    return detected_runs_and_folds(codes, y)
 
 
 def edge_distance_min(cfg):
@@ -621,7 +622,7 @@ class TestFoldCensus:
         n_folds, delta = {}, {}
         for tau in taus:
             c = replace(cfg, tau=tau)
-            n_folds[tau] = len(half_sweep_folds(c))
+            n_folds[tau] = len(half_sweep_folds(c)[1])
             delta[tau] = edge_distance_min(c)
         assert delta[0.25] < 0.3 and delta[0.3] > 1, delta
         assert n_folds == {tau: int(tau in (0.53, 0.5, 0.25)) for tau in taus}
@@ -649,7 +650,7 @@ class TestFoldCensus:
         fold_ys, delta = {}, {}
         for d in ds:
             c = replace(cfg, emitter_distance=d)
-            fold_ys[d], delta[d] = half_sweep_folds(c), edge_distance_min(c)
+            fold_ys[d], delta[d] = half_sweep_folds(c)[1], edge_distance_min(c)
         folding = [d for d in ds if fold_ys[d]]
         assert folding == [5.0, 8.5, 8.75], fold_ys
         assert [y for d in folding for y in fold_ys[d]] == pytest.approx(
@@ -662,11 +663,38 @@ class TestFoldCensus:
         assert len(centres) == 2 and 3.0 < centres[1] - centres[0] < cfg.v0 * cfg.tau
         radii = (0.05, 0.1, 0.2, 0.3, 0.4, 0.6)
         by_radius = [replace(cfg, particle_radius=r) for r in radii]
-        assert [half_sweep_folds(c) for c in by_radius] == [
+        assert [half_sweep_folds(c)[1] for c in by_radius] == [
             pytest.approx([16.0429], abs=1e-4)] * 4 + [[], []]
         assert np.all(np.diff([edge_distance_min(c) for c in by_radius]) > 0)
         for d in (5.0, 8.5):
-            assert half_sweep_folds(replace(cfg, emitter_distance=d, tau=0.05)) == []
+            assert half_sweep_folds(replace(cfg, emitter_distance=d, tau=0.05))[1] == []
+
+    def test_tau_induced_folds_vanish_as_tau_falls(self):
+        """The half-sweep census on 13 taus from 0.8 to 0.0125.
+
+        The attracting screen has one detected run and no fold at every
+        tau.  The +4 screen's tau-induced folds end between tau = 0.4 and
+        0.3; from 0.3 down one fold is left, the classical one, and its y
+        rises towards the RK4 maximum 3.7924 as tau falls.  The +1 screen
+        folds only at 0.5 and 0.25.  From tau = 0.2 down no screen has a
+        tau-induced fold."""
+        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs"
+                           / "repulsive.cfg")
+        cfg = replace(cfg, alpha_min_deg=0.0)
+        taus = (0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.025, 0.0125)
+        census = {q: [half_sweep_folds(replace(cfg, charge_product=q, tau=tau))
+                      for tau in taus] for q in (-1.0, 1.0, 4.0)}
+        assert census[-1.0] == [(1, [])] * len(taus)
+        plus_4 = [folds for _, folds in census[4.0]]
+        assert [len(folds) for folds in plus_4] == [5, 4, 3, 3, 3] + [1] * 8
+        classical = [folds[0] for folds in plus_4[5:]]
+        assert classical == pytest.approx(
+            [1.36510, 1.82005, 2.26000, 2.68264, 3.08095, 3.45175, 3.62602, 3.71021],
+            abs=1e-3)
+        assert np.all(np.diff(classical) > 0)
+        plus_1 = {tau: folds for tau, (_, folds) in zip(taus, census[1.0]) if folds}
+        assert plus_1 == {0.5: pytest.approx([14.000], abs=1e-3),
+                          0.25: pytest.approx([16.043], abs=1e-3)}
 
 
 counts_arrays = st.lists(st.integers(0, 10_000), min_size=3, max_size=3)

@@ -138,6 +138,11 @@ class TestOutcomes:
                 simulate_batch(np.zeros(3), v0, g, paper_field, paper_step)
         with pytest.raises(ValueError, match="alpha"):
             run_discrete_trajectory(math.nan, 12.0, g, paper_field, paper_step)
+        # the RK4 oracle launches through the same checks
+        with pytest.raises(ValueError, match="alpha"):
+            run_continuous_trajectory(math.nan, 12.0, g, paper_field, h=1e-3)
+        with pytest.raises(ValueError, match="v0"):
+            run_continuous_trajectory(0.0, math.inf, g, paper_field, h=1e-3)
         with pytest.raises(ValueError, match="alpha"):
             simulate_batch(np.array([0.1, math.nan, 0.2]), 12.0, g, paper_field,
                            paper_step)
