@@ -53,17 +53,17 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _distribution_csv(h: Histogram) -> str:
-    freqs = normalize(h)
+def _run_tau(cfg: ExperimentConfig, tau: float, path: Path) -> tuple[Histogram, np.ndarray]:
+    """Run cfg's ensemble at step tau; write its distribution CSV to path."""
+    hist = run_ensemble(build_emission(cfg), build_geometry(cfg),
+                        build_field(cfg), build_step(cfg, tau=tau),
+                        build_histogram_spec(cfg), workers=cfg.workers)
+    freqs = normalize(hist)
     lines = [_DIST_HEADER]
-    for center, count, freq in zip(h.spec.bin_centers(), h.counts, freqs):
+    for center, count, freq in zip(hist.spec.bin_centers(), hist.counts, freqs):
         lines.append(f"{center:.17g},{int(count)},{freq:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def _tally_lines(h: Histogram) -> list[str]:
-    return [f"{fd.name} = {getattr(h, fd.name)}" for fd in fields(h)
-            if fd.name not in ("spec", "counts")]
+    _write_text(path, "\n".join(lines) + "\n")
+    return hist, freqs
 
 
 def _write_report(cfg: ExperimentConfig, body: list[str], t0: float) -> None:
@@ -78,11 +78,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> Path:
     """Run one ensemble; returns the output directory."""
     out = Path(cfg.output_dir)
     t0 = time.perf_counter()
-    hist = run_ensemble(build_emission(cfg), build_geometry(cfg),
-                        build_field(cfg), build_step(cfg),
-                        build_histogram_spec(cfg), workers=cfg.workers)
-    _write_text(out / "distribution.csv", _distribution_csv(hist))
-    _write_report(cfg, _tally_lines(hist), t0)
+    hist, _ = _run_tau(cfg, cfg.tau, out / "distribution.csv")
+    _write_report(cfg, [f"{fd.name} = {getattr(hist, fd.name)}" for fd in fields(hist)
+                        if fd.name not in ("spec", "counts")], t0)
     return out
 
 
@@ -94,16 +92,13 @@ def cmd_sweep_tau(cfg: ExperimentConfig) -> Path:
     body = []
     profiles: list[tuple[float, np.ndarray]] = []
     for tau in cfg.tau_list:
-        hist = run_ensemble(build_emission(cfg), build_geometry(cfg),
-                            build_field(cfg), build_step(cfg, tau=tau),
-                            build_histogram_spec(cfg), workers=cfg.workers)
-        _write_text(out / f"distribution_tau{tau!r}.csv", _distribution_csv(hist))
-        freqs = normalize(hist)
+        hist, freqs = _run_tau(cfg, tau, out / f"distribution_tau{tau!r}.csv")
         report = find_extrema(freqs, hist.spec.bin_centers(), hist.n_detected,
                               window=cfg.window, k_sigma=cfg.k_sigma)
         osc = oscillation_index(freqs, window=cfg.window)
         sweep_lines.append(f"{tau!r},{len(report.maxima)},{osc:.17g}")
-        body.append(f"tau={tau!r}: detected={hist.n_detected} "
+        body.append(f"tau={tau!r}: detected={hist.n_detected} blocked={hist.n_blocked} "
+                    f"escaped={hist.n_escaped} steplimit={hist.n_steplimit} "
                     f"maxima={len(report.maxima)} oscillation_index={osc:.6g}")
         profiles.append((tau, freqs))
     _write_text(out / "sweep_report.csv", "\n".join(sweep_lines) + "\n")

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -280,6 +281,20 @@ class TestSweepTau:
         tv = (out / "tv_report.csv").read_text().strip().splitlines()
         assert tv[0] == "tau_a,tau_b,total_variation"
         assert len(tv) == 2
+        lines = [ln for ln in (out / "report.txt").read_text().splitlines()
+                 if ln.startswith("tau=")]
+        assert len(lines) == 2
+        for tau, line in zip(cfg.tau_list, lines):
+            hist = run_ensemble(build_emission(cfg), build_geometry(cfg),
+                                build_field(cfg), build_step(cfg, tau=tau),
+                                build_histogram_spec(cfg), workers=1)
+            assert line.startswith(f"tau={tau!r}: detected=")
+            tallies = dict(kv.split("=") for kv in line.split(": ")[1].split()[:4])
+            assert tallies == {k: str(getattr(hist, f"n_{k}"))
+                               for k in ("detected", "blocked", "escaped", "steplimit")}
+            assert sum(map(int, tallies.values())) == cfg.n
+            # perfbench's sweep reader takes n_detected this way
+            assert int(line.split(" detected=")[1].split()[0]) == hist.n_detected
 
     def test_single_tau_degenerate(self, tmp_path):
         cfg = ExperimentConfig(output_dir=str(tmp_path / "one"),
@@ -362,6 +377,10 @@ class TestTrace:
         report = (out / "report.txt").read_text().splitlines()
         assert "trajectories = 250" in report
         assert {"  n = 250", "  mode = sweep"} <= set(report)
+        # perfbench's trace reader parses these four lines as `key = <n>`
+        tallies = {m[1]: int(m[2]) for ln in report if (m := re.fullmatch(
+            r"(detected|blocked|escaped|steplimit) = (\d+)", ln))}
+        assert len(tallies) == 4 and sum(tallies.values()) == 250
         assert main(["trace", "--config", str(path), "--n", "0",
                      "--out", str(tmp_path / "none")]) == 2
 

@@ -46,6 +46,9 @@ from slitsim.ensemble import CHUNK_SIZE, simulate_batch, uniform01
 from oracle import run_continuous_trajectory
 
 HSPEC = HistogramSpec(bin_width=0.4, y_min=-25.0, y_max=25.0)
+REPULSIVE = parse_config(Path(__file__).resolve().parents[1] / "configs" / "repulsive.cfg")
+# configs/repulsive.cfg's half sweep: 50,001 angles over [0, 45.5] deg
+HALF_SWEEP = replace(REPULSIVE, alpha_min_deg=0.0, n=50_001)
 FREE = FieldParams(charge_product=0.0, slit_half_height=5.0)
 SPLIT_LANES = 600
 
@@ -531,12 +534,11 @@ def detected_runs_and_folds(codes, y):
 
 
 def half_sweep_folds(cfg):
-    """The detected-run count and fold ys of cfg's angle -> y map on 50,001
-    swept angles."""
-    c = replace(cfg, n=50_001)
-    e = build_emission(c)
-    codes, y = simulate_batch(emission_angles(e, 0, e.n), e.v0, build_geometry(c),
-                              build_field(c), build_step(c))
+    """The detected-run count and fold ys of cfg's angle -> y map, on the
+    cfg.n angles cfg sweeps."""
+    e = build_emission(cfg)
+    codes, y = simulate_batch(emission_angles(e, 0, e.n), e.v0, build_geometry(cfg),
+                              build_field(cfg), build_step(cfg))
     return detected_runs_and_folds(codes, y)
 
 
@@ -566,39 +568,26 @@ class TestFoldCensus:
     def test_half_sweep_folds(self, charge, tau, fold_ys):
         """The README's fold census: configs/repulsive.cfg (and its screen
         set to -1 and +1) on a 50,001-angle half sweep over [0, 45.5] deg."""
-        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs"
-                           / "repulsive.cfg")
-        cfg = replace(cfg, charge_product=charge, tau=tau,
-                      alpha_min_deg=0.0, n=50_001)
+        cfg = replace(HALF_SWEEP, charge_product=charge, tau=tau)
         e = build_emission(cfg)
         assert e.mode == "sweep" and e.v0 == 15.0
-        codes, y = simulate_batch(emission_angles(e, 0, e.n), e.v0,
-                                  build_geometry(cfg), build_field(cfg),
-                                  build_step(cfg))
-        assert (codes == 2).any()
-        n_runs, folds = detected_runs_and_folds(codes, y)
-        assert n_runs == 1
+        n_runs, folds = half_sweep_folds(cfg)
+        assert n_runs == 1  # so some lane is detected
         assert folds == pytest.approx(fold_ys, abs=0.01)
 
     def test_plus_4_fold_is_classical(self):
         """The +4 fold converges at first order to the maximum of the RK4
         map (h = 1.33e-4; the 9-angle grid's best point is within 2e-5 of
         the refined maximum), on 20,001 angles over [25, 30.5] deg."""
-        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs"
-                           / "repulsive.cfg")
-        g, f = build_geometry(cfg), build_field(cfg)
-        rk4 = max(run_continuous_trajectory(math.radians(a), cfg.v0, g, f,
+        g, f = build_geometry(REPULSIVE), build_field(REPULSIVE)
+        rk4 = max(run_continuous_trajectory(math.radians(a), REPULSIVE.v0, g, f,
                                             h=1.33e-4).outcome.y_hit
                   for a in np.linspace(27.0, 29.5, 9))
         assert rk4 == pytest.approx(3.79240, abs=1e-5)
         folds = []
         for tau in (0.05, 0.025, 0.0125, 0.00625):
-            c = replace(cfg, tau=tau, alpha_min_deg=25.0, alpha_max_deg=30.5,
-                        n=20_001)
-            e = build_emission(c)
-            codes, y = simulate_batch(emission_angles(e, 0, e.n), e.v0, g, f,
-                                      build_step(c))
-            _, fold_ys = detected_runs_and_folds(codes, y)
+            _, fold_ys = half_sweep_folds(replace(
+                REPULSIVE, tau=tau, alpha_min_deg=25.0, alpha_max_deg=30.5, n=20_001))
             assert len(fold_ys) == 1, (tau, fold_ys)
             folds += fold_ys
         assert folds == pytest.approx([3.45175, 3.62602, 3.71021, 3.75156], abs=1e-5)
@@ -615,9 +604,7 @@ class TestFoldCensus:
         least such distance on [0, 45.5] deg; the folds are counted on the
         50,001-angle half sweep.  delta_min alone does not sort the taus:
         0.125 has 0.156 and no fold."""
-        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs"
-                           / "repulsive.cfg")
-        cfg = replace(cfg, charge_product=1.0, alpha_min_deg=0.0)
+        cfg = replace(HALF_SWEEP, charge_product=1.0)
         taus = (0.6, 0.53, 0.5, 0.45, 0.4, 0.3, 0.25, 0.2, 0.125, 0.1, 0.0625, 0.05)
         n_folds, delta = {}, {}
         for tau in taus:
@@ -643,9 +630,7 @@ class TestFoldCensus:
         no fold.  A particle radius of 0.05 to 0.3 keeps the one fold at
         y = 16.0429; 0.4 and 0.6 block the lanes that pass the edge closely
         and fold nowhere.  At tau = 0.05, D = 5.0 and 8.5 do not fold."""
-        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs"
-                           / "repulsive.cfg")
-        cfg = replace(cfg, charge_product=1.0, alpha_min_deg=0.0, tau=0.25)
+        cfg = replace(HALF_SWEEP, charge_product=1.0, tau=0.25)
         ds = [4.5 + 0.25 * k for k in range(21)]
         fold_ys, delta = {}, {}
         for d in ds:
@@ -677,10 +662,9 @@ class TestFoldCensus:
         0.3; from 0.3 down one fold is left, the classical one, and its y
         rises towards the RK4 maximum 3.7924 as tau falls.  The +1 screen
         folds only at 0.5 and 0.25.  From tau = 0.2 down no screen has a
-        tau-induced fold."""
-        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs"
-                           / "repulsive.cfg")
-        cfg = replace(cfg, alpha_min_deg=0.0)
+        tau-induced fold at these 13 taus; between them some do
+        (`test_fold_windows_between_the_census_taus`)."""
+        cfg = HALF_SWEEP
         taus = (0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.025, 0.0125)
         census = {q: [half_sweep_folds(replace(cfg, charge_product=q, tau=tau))
                       for tau in taus] for q in (-1.0, 1.0, 4.0)}
@@ -695,6 +679,34 @@ class TestFoldCensus:
         plus_1 = {tau: folds for tau, (_, folds) in zip(taus, census[1.0]) if folds}
         assert plus_1 == {0.5: pytest.approx([14.000], abs=1e-3),
                           0.25: pytest.approx([16.043], abs=1e-3)}
+
+    def test_fold_windows_between_the_census_taus(self):
+        """Finer taus than the 13-tau census find tau-induced folds below
+        tau = 0.2 too, in narrow windows.
+
+        The +1 screen keeps one detected run and folds once at 0.52, 0.25,
+        0.167 and 0.166, but not at 0.54, 0.26, 0.247, 0.168 or 0.165.  On
+        the +4 screen (as shipped) the classical fold is the first one
+        listed; at 0.178, 0.180 and 0.233 a second detected run opens and a
+        tau-induced fold comes with it, at 0.179 the second run does not
+        fold, and at 0.177 and 0.181 the map has one run and one fold."""
+        plus_1 = {tau: half_sweep_folds(replace(HALF_SWEEP, charge_product=1.0, tau=tau))
+                  for tau in (0.54, 0.52, 0.26, 0.25, 0.247, 0.168, 0.167, 0.166, 0.165)}
+        assert {tau: n_runs for tau, (n_runs, _) in plus_1.items()} == dict.fromkeys(plus_1, 1)
+        assert {tau: folds for tau, (_, folds) in plus_1.items() if folds} == {
+            0.52: pytest.approx([13.626], abs=1e-3),
+            0.25: pytest.approx([16.043], abs=1e-3),
+            0.167: pytest.approx([16.698], abs=1e-3),
+            0.166: pytest.approx([16.721], abs=1e-3)}
+        plus_4 = {tau: half_sweep_folds(replace(HALF_SWEEP, tau=tau))
+                  for tau in (0.177, 0.178, 0.179, 0.180, 0.181, 0.233)}
+        assert plus_4 == {
+            0.177: (1, pytest.approx([2.4568], abs=1e-3)),
+            0.178: (2, pytest.approx([2.4483, -1.8742], abs=1e-3)),
+            0.179: (2, pytest.approx([2.4398], abs=1e-3)),
+            0.180: (2, pytest.approx([2.4312, 2.5098, 2.6584], abs=1e-3)),
+            0.181: (1, pytest.approx([2.4225], abs=1e-3)),
+            0.233: (2, pytest.approx([1.9714, 5.5266], abs=1e-3))}
 
 
 counts_arrays = st.lists(st.integers(0, 10_000), min_size=3, max_size=3)
