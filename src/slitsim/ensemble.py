@@ -12,20 +12,23 @@ mechanisms guarantee this:
     histograms is order-independent.
 
 The hot loop advances whole chunks as numpy arrays and retires finished
-trajectories as it goes, down to the last survivor: a running lane from
-the end of the arrays moves into each finished lane's place.  A lane's
-state is its position and its displacement per step u = tau * v (see
-`dynamics`).  Event detection has two stages: a cheap test on every lane
-flags a superset of the lanes that can end in this step (the step
+trajectories in batched passes, down to the last survivor: a running
+lane from the end of the arrays moves into each finished lane's place.
+A lane's state is its position and its displacement per step u = tau * v
+(see `dynamics`).  Event detection has two stages: a cheap test on every
+lane flags a superset of the lanes that can end in this step (the step
 touches or crosses x = 0, reaches the detector plane, or leaves the
-escape bounds), and the exact crossing rule runs only on the flagged
-lanes, gathered from the position rows in fixed-size blocks.  Both
-stages are elementwise: a lane's flag depends on its own values only, and
-the exact rule applies the same float operations to a gathered lane as to
-any other.  So a trajectory's result does not depend on which batch it
-was simulated in, how large that batch was, which other lanes were
-flagged beside it, which block it was gathered in, or where in the arrays
-it sat.
+escape bounds), and each flagged lane's segment joins a bounded pending
+buffer.  The exact crossing rule runs on the buffer in one pass when it
+fills, every few steps and at the last step, and the finished lanes are
+retired after it.  A finished lane may step on until then, but its
+first end stands.  Both stages are elementwise: a lane's flag depends on
+its own values only, and the exact rule applies the same float
+operations to a buffered segment as to any other.  So a trajectory's
+result does not depend on which batch it was simulated in, how large
+that batch was, which other lanes were flagged beside it, which pass it
+was found in, how often finished lanes are retired, or where in the
+arrays it sat.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .scattering import Geometry, check_consistent
 
 CHUNK_SIZE = 16384
 _EXACT_BLOCK = 1024
+_RETIRE_EVERY = 32
 _MAX_BINS = 2 ** 20
 
 _BLOCKED, _DETECTED, _ESCAPED, _STEPLIMIT = 1, 2, 3, 4
@@ -212,15 +216,17 @@ def _aligned_pair(n: int) -> np.ndarray:
 
 
 def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
-                   sp: StepParams) -> tuple[np.ndarray, np.ndarray]:
+                   sp: StepParams, *, steps: np.ndarray | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Advance one batch of trajectories to termination.
 
     Returns (codes, y_final): outcome code per trajectory and the impact
-    or hit y for blocked/detected ones (NaN otherwise).  A lane leaves
-    the working arrays in the step it finishes; lanes still running
-    after max_steps keep their initial step-limit code.  A g and f that
-    disagree on the slit half-height raise ConfigurationError; a v0 that
-    is not finite and > 0, or a non-finite angle, raises ValueError.
+    or hit y for blocked/detected ones (NaN otherwise).  Lanes still
+    running after max_steps keep their initial step-limit code.  steps,
+    if given, is an int array of alphas' size that receives the step in
+    which each lane ended, max_steps for a step-limited one.  A g and f
+    that disagree on the slit half-height raise ConfigurationError; a v0
+    that is not finite and > 0, or a non-finite angle, raises ValueError.
 
     The state is the pairs (x, y) and u = tau * v, each a (2, n) array.  A
     step is u += (tau^2 / m) F(x, y), then x' = x + u: the map of
@@ -232,28 +238,30 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     speed.  Where a row starts in memory moves no bit of a result.
 
     Each step tests every lane for x*x' <= 0, x' >= d, x' < x_escape or
-    |y'| > y_bound.  No other lane can end in that step, so the exact
-    crossing rule (the float operations of `scattering._segment_event`)
-    runs on the flagged lanes only, gathered _EXACT_BLOCK at a time so its
-    temporaries do not grow with the lanes flagged in one step, and gives
-    the bits it would give on all of them.  The screen plane comes first:
-    a segment that crosses x = 0 at |y| >= aperture is blocked there, and
-    only a segment that is not blocked can be detected at x = d.  So the
-    precedence (screen, then detector, then escape) is the write order:
-    escape codes first, screen blocks last.  A lane that ends leaves a
-    hole below m, the running count after the step, and a running lane
-    from places m and up moves into it with its index, so retiring costs
-    time in proportion to the lanes retired.  Every operation is
-    elementwise, so this reordering moves no bit of a result.
+    |y'| > y_bound; no other lane can end in that step.  Each flagged
+    lane's place, segment (x, y) -> (x', y') and step join a pending
+    buffer of _EXACT_BLOCK entries, and `_exact_pass` runs the exact rule
+    on it when it fills, every _RETIRE_EVERY steps and at the last step.
+    The finished lanes then leave the working arrays: each leaves a hole
+    below r, the running count after the retire, and a running lane from
+    places r and up moves into it with its index, so retiring costs time
+    in proportion to the lanes retired.  Places do not change between
+    retires, so the buffer can hold them.  A finished lane steps on until
+    it is retired and may be flagged again, but its first end stands.
+    Every operation is elementwise, so neither the reordering nor the
+    cadence of the passes moves a bit of a result.
     """
     if not (0 < v0 < math.inf and np.isfinite(alphas).all()):
         raise ValueError("v0 must be finite and > 0, and every alpha finite")
     check_consistent(g, f)
     n = alphas.size
+    if steps is not None:
+        if steps.shape != (n,) or steps.dtype.kind not in "iu":
+            raise ValueError(f"steps must be an int array of shape ({n},)")
+        steps[:] = g.max_steps
     codes = np.full(n, _STEPLIMIT, dtype=np.uint8)
     y_final = np.full(n, np.nan)
 
-    aperture = g.aperture
     d = g.screen_gap
     y_bound = g.y_bound
     x_escape = g.x_escape
@@ -272,75 +280,130 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     np.multiply(v0 * np.sin(alphas), tau, out=u[1])
 
     scratch = _aligned_pair(n)                  # once the launch temporaries are freed
+    flags = np.empty((2, n), dtype=bool)        # the superset test's rows
+    block = _EXACT_BLOCK
+    seg = np.empty((4, block))                  # pending (x, y, x', y')
+    place = np.empty(block, dtype=np.intp)
+    when = np.empty(block, dtype=np.int64)
+    sx, sy, sx1, sy1 = seg
+    pending = 0
 
+    m = -1
     with np.errstate(invalid="ignore", divide="ignore"):
-        for _ in range(g.max_steps):
-            m = idx.size
-            if not m:
-                break
-            P, P1, U, F = p[:, :m], p1[:, :m], u[:, :m], scratch[:, :m]
-            x, y = P
-            x1, y1 = P1
+        for step in range(1, g.max_steps + 1):
+            if idx.size != m:                   # at the start and after a retire
+                m = idx.size
+                if not m:
+                    break
+                P, P1, U, F = p[:, :m], p1[:, :m], u[:, :m], scratch[:, :m]
+                x, y = P
+                x1, y1 = P1
+                s0, s1 = F
+                near, t = flags[:, :m]
             # The force's two temporaries live in the rows of (x', y'),
             # which are dead until the update writes them.
-            force_batch(x, y, fu, out=(F[0], F[1], x1, y1))
+            force_batch(x, y, fu, out=(s0, s1, x1, y1))
 
             # u first, then the position from the new u
             np.add(U, F, out=U)
             np.add(P, U, out=P1)
-            p, p1 = p1, p
 
             # Every lane: a superset of the lanes that end this step.
-            s0 = F[0]                                   # F is dead after the update
-            near = np.multiply(x, x1, out=s0) <= 0.0    # on or across x = 0
-            near |= x1 >= d
-            near |= x1 < x_escape
-            near |= np.abs(y1, out=s0) > y_bound
+            np.multiply(x, x1, out=s0)                  # F is dead after the update
+            np.less_equal(s0, 0.0, out=near)            # on or across x = 0
+            near |= np.greater_equal(x1, d, out=t)
+            near |= np.less(x1, x_escape, out=t)
+            near |= np.greater(np.abs(y1, out=s0), y_bound, out=t)
             ev = np.flatnonzero(near)
 
-            # Flagged lanes only, in blocks of _EXACT_BLOCK so that the
-            # temporaries stay bounded when a whole front crosses the screen:
-            # `scattering._segment_event` on (xe, ye) -> (x1e, y1e).
-            finished = []
-            for lo in range(0, ev.size, _EXACT_BLOCK):
-                e = ev[lo:lo + _EXACT_BLOCK]
+            due = step % _RETIRE_EVERY == 0 or step == g.max_steps
+            ended = []
+            lo = 0
+            while lo < ev.size:
+                e = ev[lo:lo + block - pending]
+                lo += e.size
+                hi = pending + e.size
+                place[pending:hi] = e
+                when[pending:hi] = step
                 # row by row: numpy's P[:, e] costs 3-5x as much as x[e], y[e]
-                xe, ye, x1e, y1e = x[e], y[e], x1[e], y1[e]
-                # Segment fractions at x = 0 and x = d.  Row 1 negates the
-                # reference's (d - xe) / (x1e - xe) above and below, exactly in
-                # IEEE except where xe == x1e or xe == d; it is read only where
-                # xe < d <= x1e.
-                lam = (xe - [[0.0], [d]]) / (xe - x1e)
-                y0, yd = ye + lam * (y1e - ye)          # y at x = 0 and x = d
-                crosses = ((xe < 0.0) & (x1e >= 0.0)) | ((xe > 0.0) & (x1e <= 0.0))
-                det = x1e >= d
-                blocked = crosses & (np.abs(y0) >= aperture)
-                esc = (x1e < x_escape) | (np.abs(y1e) > y_bound)
-                ended = blocked | det | esc
-                if ended.any():
-                    # The last write wins: screen, then detector, then escape.
-                    lanes = idx[e]
-                    codes[lanes[esc]] = _ESCAPED
-                    codes[lanes[det]] = _DETECTED
-                    y_final[lanes[det]] = yd[det]
-                    codes[lanes[blocked]] = _BLOCKED
-                    y_final[lanes[blocked]] = y0[blocked]
-                    finished.append(e[ended])
-            if finished:
-                # Swap-out: running lanes from places m and up fill the
-                # holes finished lanes leave below m, the new running count.
-                gone = np.concatenate(finished)
-                m -= gone.size
-                holes = gone[gone < m]
-                keep = np.ones(gone.size, dtype=bool)   # places m and up
-                keep[gone[holes.size:] - m] = False
-                movers = m + np.flatnonzero(keep)
-                for row in (*P1, *U):                   # row by row, as the gather
-                    row[holes] = row[movers]
-                idx[holes] = idx[movers]
-                idx = idx[:m]
+                sx[pending:hi] = x[e]
+                sy[pending:hi] = y[e]
+                sx1[pending:hi] = x1[e]
+                sy1[pending:hi] = y1[e]
+                pending = hi
+                if pending == block:            # so a pass holds _EXACT_BLOCK lanes at most
+                    # s1, the force's F_y row, is dead until the next step
+                    ended.append(_exact_pass(seg, place, when, pending, idx, g,
+                                             codes, y_final, steps, s1))
+                    pending = 0
+                    due = True
+            if due:
+                if pending:
+                    ended.append(_exact_pass(seg, place, when, pending, idx, g,
+                                             codes, y_final, steps, s1))
+                    pending = 0
+                gone = np.concatenate(ended) if ended else ()
+                if len(gone):
+                    # Swap-out: running lanes from places r and up fill the
+                    # holes finished lanes leave below r, the new running count.
+                    r = m - gone.size
+                    low = gone < r
+                    holes = gone[low]
+                    keep = np.ones(gone.size, dtype=bool)   # places r and up
+                    keep[gone[~low] - r] = False
+                    movers = r + np.flatnonzero(keep)
+                    for row in (x1, y1, *U):            # row by row, as the gather
+                        row[holes] = row[movers]
+                    idx[holes] = idx[movers]
+                    idx = idx[:r]
+            p, p1, P, P1 = p1, p, P1, P
+            x, y, x1, y1 = x1, y1, x, y
 
     return codes, y_final
+
+
+def _exact_pass(seg, place, when, c, idx, g, codes, y_final, steps, mark):
+    """Run the exact crossing rule on the first c pending segments.
+
+    The float operations of `scattering._segment_event`: a segment that
+    crosses x = 0 at |y| >= aperture is blocked there, and only one that
+    is not blocked can be detected at x = d, so the precedence (screen,
+    then detector, then escape) is the write order.  Writes the code, y
+    and step of each lane that ends and returns the places of those
+    lanes.  mark, a float row with an entry for every place, is
+    overwritten.
+    """
+    xe, ye, x1e, y1e = seg[:, :c]
+    d = g.screen_gap
+    # Segment fractions at x = 0 and x = d.  Row 1 negates the reference's
+    # (d - xe) / (x1e - xe) above and below, exactly in IEEE except where
+    # xe == x1e or xe == d; it is read only where xe < d <= x1e.
+    lam = (xe - [[0.0], [d]]) / (xe - x1e)
+    y0, yd = ye + lam * (y1e - ye)              # y at x = 0 and x = d
+    crosses = ((xe < 0.0) & (x1e >= 0.0)) | ((xe > 0.0) & (x1e <= 0.0))
+    det = x1e >= d
+    blocked = crosses & (np.abs(y0) >= g.aperture)
+    esc = (x1e < g.x_escape) | (np.abs(y1e) > g.y_bound)
+    places = place[:c]
+    lanes = idx[places]
+    # A finished lane steps on until it is retired: skip the lanes an
+    # earlier pass ended, and keep each place's first ending entry, the
+    # lowest index as the buffer is in step order.  (np.unique would do,
+    # but its first call touches 0.4 MB of numpy's sort code: peak RSS.)
+    k = np.flatnonzero((blocked | det | esc) & (codes[lanes] == _STEPLIMIT))
+    pk = places[k]
+    mark[pk] = c
+    np.minimum.at(mark, pk, k)
+    k = k[mark[pk] == k]
+    lanes, esc, det, blocked = lanes[k], esc[k], det[k], blocked[k]
+    codes[lanes[esc]] = _ESCAPED
+    codes[lanes[det]] = _DETECTED
+    y_final[lanes[det]] = yd[k[det]]
+    codes[lanes[blocked]] = _BLOCKED
+    y_final[lanes[blocked]] = y0[k[blocked]]
+    if steps is not None:
+        steps[lanes] = when[k]
+    return places[k]
 
 
 def _simulate_chunk(args) -> Histogram:

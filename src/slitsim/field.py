@@ -106,8 +106,9 @@ def force_batch(x: np.ndarray, y: np.ndarray, params: FieldParams,
 
     The float operations of `_force_scalar` in the same order, so mirror
     symmetry is exact elementwise.  Points on the screen surface are the
-    caller's responsibility; they never occur in the stepping loop
-    because blocking happens before the force is evaluated there.
+    caller's responsibility; in the stepping loop only a lane that has
+    already ended can reach one, as blocking is found before the force
+    is evaluated there, and its values are not read.
 
     out: optional four float arrays shaped like x, used as scratch; the
     returned (F_x, F_y) are the first two.  None may share memory with x

@@ -1,22 +1,27 @@
 """Print one `case sha256` line per kernel case, to compare two trees.
 
 The hash covers `codes.tobytes() + y_final.tobytes()` from
-`ensemble.simulate_batch` on 37 cases:
+`ensemble.simulate_batch` on 38 cases:
 
   * the 12 kernel-grid cases: v0 {12, 15} x tau {0.05, 0.01, 0.001} x
     mode {random, sweep}, 16384 lanes, seed 1;
   * 20 step-limited batches: v0 {12, 15} x tau {0.05, 0.01} x
-    max_steps {1, 7, 30, 60, 100}, 4096 lanes, seed 3;
+    max_steps {1, 7, 30, 60, 100}, 4096 lanes, seed 3, and one more at
+    v0 15, tau 0.05, max_steps 33, which is not a multiple of the
+    retire cadence;
   * 4 repulsive-screen sweeps (charge product +4, v0 15) at
     tau {0.5, 0.3, 0.1, 0.05}, 16384 lanes;
   * 1 batch of 16383 lanes, v0 15, tau 0.01, seed 1: a lane count that
     is not a multiple of 8, so the state rows carry padding.
 
-It then prints one `cli <config> <command> <file> sha256` line for each
-data file the command line writes from each `configs/*.cfg`: `simulate
---n 20000`, `sweep-tau --n 20000`, `trace --n 60`, and `analyze --window
-3 --k-sigma 2` on every distribution those runs wrote.  `report.txt` is
-left out: it holds the wall time and the output directory.
+It then prints one `steps <case> sha256` line per case, the hash of the
+per-lane end steps (int64) of the same run, and one `cli <config>
+<command> <file> sha256` line for each data file the command line
+writes from each `configs/*.cfg`: `simulate --n 20000`, `sweep-tau --n
+20000`, `trace --n 60`, and `analyze --window 3 --k-sigma 2` on every
+distribution those runs wrote.  `report.txt` is left out: it holds the
+wall time and the output directory.  A tree from before the kernel gave
+end steps prints neither the `steps` lines nor the max_steps 33 case.
 
 A change that should move no output bit prints the same lines before
 and after it:
@@ -36,6 +41,8 @@ import io
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from slitsim.cli import main
 from slitsim.config import (
@@ -61,6 +68,8 @@ def cases():
                 yield (f"steplimit v0={v0:g} tau={tau:g} max_steps={max_steps}",
                        replace(base, v0=v0, tau=tau, n=4096, seed=3,
                                max_steps=max_steps))
+    yield ("steplimit v0=15 tau=0.05 max_steps=33",
+           replace(base, v0=15.0, tau=0.05, n=4096, seed=3, max_steps=33))
     for tau in (0.5, 0.3, 0.1, 0.05):
         yield (f"repulsive+4 v0=15 tau={tau:g} sweep",
                replace(base, charge_product=4.0, v0=15.0, tau=tau,
@@ -69,12 +78,15 @@ def cases():
            replace(base, v0=15.0, tau=0.01, n=16383, seed=1))
 
 
-def digest(cfg: ExperimentConfig) -> str:
+def digests(cfg: ExperimentConfig) -> tuple[str, str]:
+    """sha256 of codes and y_final, and of the end steps."""
     e = build_emission(cfg)
+    steps = np.empty(e.n, dtype=np.int64)
     codes, y_final = simulate_batch(emission_angles(e, 0, e.n), e.v0,
                                     build_geometry(cfg), build_field(cfg),
-                                    build_step(cfg))
-    return hashlib.sha256(codes.tobytes() + y_final.tobytes()).hexdigest()
+                                    build_step(cfg), steps=steps)
+    return (hashlib.sha256(codes.tobytes() + y_final.tobytes()).hexdigest(),
+            hashlib.sha256(steps.tobytes()).hexdigest())
 
 
 def sha256(path: Path) -> str:
@@ -102,8 +114,12 @@ def cli_digests(tmp: Path):
 
 
 if __name__ == "__main__":
+    step_lines = []
     for name, cfg in cases():
-        print(name, digest(cfg), flush=True)
+        bits, steps = digests(cfg)
+        print(name, bits, flush=True)
+        step_lines.append(f"steps {name} {steps}")
+    print(*step_lines, sep="\n", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for line in cli_digests(Path(tmp)):
             print("cli", *line, flush=True)

@@ -273,12 +273,14 @@ class TestDeterminism:
         """The vectorized kernel and the per-trajectory runner agree."""
         geometry = replace(paper_geometry, max_steps=max_steps)
         alphas = np.radians(np.linspace(-44.0, 44.0, 64))
+        steps = np.empty(alphas.size, dtype=np.int64)
         codes, y_final = simulate_batch(alphas, v0, geometry, paper_field,
-                                        paper_step)
+                                        paper_step, steps=steps)
         from_right = 0
         for i, a in enumerate(alphas):
             rec = run_discrete_trajectory(float(a), v0, geometry,
                                           paper_field, paper_step, record=True)
+            assert steps[i] == rec.steps_taken
             if isinstance(rec.outcome, Blocked):
                 assert codes[i] == 1
                 assert y_final[i] == pytest.approx(rec.outcome.y_impact, abs=1e-9)
@@ -434,6 +436,41 @@ class TestDeterminism:
                                       paper_step)
         assert np.array_equal(b_codes, codes)
         assert np.array_equal(b_y.view(np.int64), y_final.view(np.int64))
+
+    @pytest.mark.parametrize("max_steps", [1, 7, 33, None])
+    @pytest.mark.parametrize("tau", [0.05, 0.01])
+    @pytest.mark.parametrize("v0", [12.0, 15.0])
+    def test_retire_cadence_moves_no_bit(self, monkeypatch, paper_geometry,
+                                         paper_field, v0, tau, max_steps):
+        """Retiring after every step, only when the pending buffer fills or
+        at the last step, or passing 7 pending lanes at a time gives the
+        codes, y bits and end steps of the default cadence."""
+        if max_steps is not None:
+            paper_geometry = replace(paper_geometry, max_steps=max_steps)
+        e = EmissionSpec(v0=v0, alpha_min=math.radians(-45.5),
+                         alpha_max=math.radians(45.5), n=4096, seed=3)
+        alphas = emission_angles(e, 0, e.n)
+        step = StepParams(tau=tau, mass=1.0)
+
+        def run():
+            steps = np.empty(e.n, dtype=np.int64)
+            codes, y_final = simulate_batch(alphas, v0, paper_geometry,
+                                            paper_field, step, steps=steps)
+            return codes, y_final.view(np.int64), steps
+
+        base = run()
+        for name, value in [("_RETIRE_EVERY", 1), ("_RETIRE_EVERY", 10**9),
+                            ("_EXACT_BLOCK", 7)]:
+            with monkeypatch.context() as mp:
+                mp.setattr(ensemble, name, value)
+                for got, want in zip(run(), base):
+                    assert np.array_equal(got, want), (name, value)
+
+    def test_steps_array_is_checked(self, paper_geometry, paper_field, paper_step):
+        for steps in (np.empty(2, dtype=np.int64), np.empty(3)):
+            with pytest.raises(ValueError, match="steps"):
+                simulate_batch(np.zeros(3), 12.0, paper_geometry, paper_field,
+                               paper_step, steps=steps)
 
     @pytest.mark.parametrize("tau", [0.05, 0.01, 0.001])
     @pytest.mark.parametrize("v0", [12.0, 15.0])
