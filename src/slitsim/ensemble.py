@@ -19,9 +19,10 @@ A lane's state is its position and its displacement per step u = tau * v
 lane flags a superset of the lanes that can end in this step (the step
 touches or crosses x = 0, reaches the detector plane, or leaves the
 escape bounds), and each flagged lane's segment joins a bounded pending
-buffer.  The exact crossing rule runs on the buffer in one pass when it
-fills, every few steps and at the last step, and the finished lanes are
-retired after it.  A finished lane may step on until then, but its
+buffer.  The exact crossing rule runs on the buffer at one place: when
+it fills, and on a due step (every few steps, the last, or one in which
+it filled) once all of the step's lanes are in.  The finished lanes are
+retired after it; a finished lane may step on until then, but its
 first end stands.  Both stages are elementwise: a lane's flag depends on
 its own values only, and the exact rule applies the same float
 operations to a buffered segment as to any other.  So a trajectory's
@@ -34,6 +35,7 @@ arrays it sat.
 from __future__ import annotations
 
 import math
+import os
 import signal
 from dataclasses import dataclass, fields
 
@@ -224,7 +226,8 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     or hit y for blocked/detected ones (NaN otherwise).  Lanes still
     running after max_steps keep their initial step-limit code.  steps,
     if given, is an int array of alphas' size that receives the step in
-    which each lane ended, max_steps for a step-limited one.  A g and f
+    which each lane ended, max_steps for a step-limited one; one whose
+    dtype cannot hold max_steps raises ValueError.  A g and f
     that disagree on the slit half-height raise ConfigurationError; a v0
     that is not finite and > 0, or a non-finite angle, raises ValueError.
 
@@ -240,8 +243,9 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     Each step tests every lane for x*x' <= 0, x' >= d, x' < x_escape or
     |y'| > y_bound; no other lane can end in that step.  Each flagged
     lane's place, segment (x, y) -> (x', y') and step join a pending
-    buffer of _EXACT_BLOCK entries, and `_exact_pass` runs the exact rule
-    on it when it fills, every _RETIRE_EVERY steps and at the last step.
+    buffer of _EXACT_BLOCK entries.  The exact rule runs on it at one
+    site: when it fills, and on a due step (every _RETIRE_EVERY steps, the
+    last, or one in which it filled) once all of the step's lanes are in.
     The finished lanes then leave the working arrays: each leaves a hole
     below r, the running count after the retire, and a running lane from
     places r and up moves into it with its index, so retiring costs time
@@ -256,8 +260,10 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     check_consistent(g, f)
     n = alphas.size
     if steps is not None:
-        if steps.shape != (n,) or steps.dtype.kind not in "iu":
-            raise ValueError(f"steps must be an int array of shape ({n},)")
+        if (steps.shape != (n,) or steps.dtype.kind not in "iu"
+                or np.iinfo(steps.dtype).max < g.max_steps):
+            raise ValueError(f"steps must be an int array of shape ({n},) "
+                             f"that holds {g.max_steps}")
         steps[:] = g.max_steps
     codes = np.full(n, _STEPLIMIT, dtype=np.uint8)
     y_final = np.full(n, np.nan)
@@ -319,7 +325,7 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             due = step % _RETIRE_EVERY == 0 or step == g.max_steps
             ended = []
             lo = 0
-            while lo < ev.size:
+            while lo < ev.size or due and pending:
                 e = ev[lo:lo + block - pending]
                 lo += e.size
                 hi = pending + e.size
@@ -331,17 +337,48 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
                 sx1[pending:hi] = x1[e]
                 sy1[pending:hi] = y1[e]
                 pending = hi
-                if pending == block:            # so a pass holds _EXACT_BLOCK lanes at most
-                    # s1, the force's F_y row, is dead until the next step
-                    ended.append(_exact_pass(seg, place, when, pending, idx, g,
-                                             codes, y_final, steps, s1))
-                    pending = 0
-                    due = True
+                if pending < block and not due:     # every lane is in, no pass due
+                    break
+                due = True                          # a full buffer forces a retire
+                # The exact rule, the float operations of `scattering._segment_event`:
+                # a segment that crosses x = 0 at |y| >= aperture is blocked
+                # there; only one that is not can be detected at x = d, so the
+                # precedence (screen, detector, escape) is the write order.
+                xe, ye, x1e, y1e = seg[:, :pending]
+                # Fractions at x = 0 and x = d.  Row 1 negates the reference's
+                # (d - xe) / (x1e - xe) above and below, exactly in IEEE except
+                # where xe == x1e or xe == d; it is read only where xe < d <= x1e.
+                lam = (xe - [[0.0], [d]]) / (xe - x1e)
+                y0, yd = ye + lam * (y1e - ye)      # y at x = 0 and x = d
+                crosses = ((xe < 0.0) & (x1e >= 0.0)) | ((xe > 0.0) & (x1e <= 0.0))
+                det = x1e >= d
+                blocked = crosses & (np.abs(y0) >= g.aperture)
+                esc = (x1e < x_escape) | (np.abs(y1e) > y_bound)
+                places = place[:pending]
+                lanes = idx[places]
+                # A finished lane steps on until it is retired: skip lanes an
+                # earlier pass ended, and keep each place's first ending entry
+                # (the lowest index: the buffer is in step order), marked on
+                # s1, the dead F_y row.  np.unique would do, but its first
+                # call touches 0.4 MB of numpy's sort code: peak RSS.
+                k = np.flatnonzero((blocked | det | esc) & (codes[lanes] == _STEPLIMIT))
+                pk = places[k]
+                s1[pk] = pending
+                np.minimum.at(s1, pk, k)
+                k = k[s1[pk] == k]
+                lanes, esc, det, blocked = lanes[k], esc[k], det[k], blocked[k]
+                codes[lanes[esc]] = _ESCAPED
+                codes[lanes[det]] = _DETECTED
+                y_final[lanes[det]] = yd[k[det]]
+                codes[lanes[blocked]] = _BLOCKED
+                y_final[lanes[blocked]] = y0[k[blocked]]
+                if steps is not None:
+                    steps[lanes] = when[k]
+                ended.append(places[k])
+                pending = 0
+                # the pass's temporaries would live into the next step's force
+                del lam, y0, yd, crosses, det, blocked, esc, lanes, k, pk
             if due:
-                if pending:
-                    ended.append(_exact_pass(seg, place, when, pending, idx, g,
-                                             codes, y_final, steps, s1))
-                    pending = 0
                 gone = np.concatenate(ended) if ended else ()
                 if len(gone):
                     # Swap-out: running lanes from places r and up fill the
@@ -360,50 +397,6 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
             x, y, x1, y1 = x1, y1, x, y
 
     return codes, y_final
-
-
-def _exact_pass(seg, place, when, c, idx, g, codes, y_final, steps, mark):
-    """Run the exact crossing rule on the first c pending segments.
-
-    The float operations of `scattering._segment_event`: a segment that
-    crosses x = 0 at |y| >= aperture is blocked there, and only one that
-    is not blocked can be detected at x = d, so the precedence (screen,
-    then detector, then escape) is the write order.  Writes the code, y
-    and step of each lane that ends and returns the places of those
-    lanes.  mark, a float row with an entry for every place, is
-    overwritten.
-    """
-    xe, ye, x1e, y1e = seg[:, :c]
-    d = g.screen_gap
-    # Segment fractions at x = 0 and x = d.  Row 1 negates the reference's
-    # (d - xe) / (x1e - xe) above and below, exactly in IEEE except where
-    # xe == x1e or xe == d; it is read only where xe < d <= x1e.
-    lam = (xe - [[0.0], [d]]) / (xe - x1e)
-    y0, yd = ye + lam * (y1e - ye)              # y at x = 0 and x = d
-    crosses = ((xe < 0.0) & (x1e >= 0.0)) | ((xe > 0.0) & (x1e <= 0.0))
-    det = x1e >= d
-    blocked = crosses & (np.abs(y0) >= g.aperture)
-    esc = (x1e < g.x_escape) | (np.abs(y1e) > g.y_bound)
-    places = place[:c]
-    lanes = idx[places]
-    # A finished lane steps on until it is retired: skip the lanes an
-    # earlier pass ended, and keep each place's first ending entry, the
-    # lowest index as the buffer is in step order.  (np.unique would do,
-    # but its first call touches 0.4 MB of numpy's sort code: peak RSS.)
-    k = np.flatnonzero((blocked | det | esc) & (codes[lanes] == _STEPLIMIT))
-    pk = places[k]
-    mark[pk] = c
-    np.minimum.at(mark, pk, k)
-    k = k[mark[pk] == k]
-    lanes, esc, det, blocked = lanes[k], esc[k], det[k], blocked[k]
-    codes[lanes[esc]] = _ESCAPED
-    codes[lanes[det]] = _DETECTED
-    y_final[lanes[det]] = yd[k[det]]
-    codes[lanes[blocked]] = _BLOCKED
-    y_final[lanes[blocked]] = y0[k[blocked]]
-    if steps is not None:
-        steps[lanes] = when[k]
-    return places[k]
 
 
 def _simulate_chunk(args) -> Histogram:
@@ -433,10 +426,12 @@ def run_ensemble(e: EmissionSpec, g: Geometry, f: FieldParams, sp: StepParams,
                  h: HistogramSpec, workers: int = 1) -> Histogram:
     """Run the full ensemble and accumulate the detector histogram.
 
-    The result is bit-identical for every workers value.
+    The result is bit-identical for every workers value.  No more worker
+    processes start than there are CPUs or chunks.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)
     chunks = [(e, g, f, sp, h, lo, min(lo + CHUNK_SIZE, e.n))
               for lo in range(0, e.n, CHUNK_SIZE)]
     total = Histogram.zero(h)

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import os
 import re
 import signal
 import tracemalloc
@@ -231,6 +232,8 @@ class TestDeterminism:
                 return SimpleNamespace(result=lambda: fn(item))
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        # Pool sizes below do not depend on this host's CPU count.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         return made
 
     def test_pool_capped_at_chunk_count(self, serial_pool, paper_geometry,
@@ -243,6 +246,23 @@ class TestDeterminism:
         asked = [kwargs["max_workers"] for kwargs in serial_pool]
         assert asked == [2]
         assert h.n_emitted == e.n
+
+    def test_pool_capped_at_cpu_count(self, serial_pool, monkeypatch,
+                                      paper_geometry, paper_field, paper_step):
+        """workers is capped at the CPU count before the serial-or-pool
+        choice; an unknown count means one process.  No bit moves."""
+        monkeypatch.setattr(ensemble, "CHUNK_SIZE", 100)
+        e = EmissionSpec(v0=15.0, alpha_min=math.radians(-45.5),
+                         alpha_max=math.radians(45.5), n=1_000, seed=2)
+        base = run_ensemble(e, paper_geometry, paper_field, paper_step, HSPEC)
+        for cpus, asked in [(3, [3]), (1, []), (None, [])]:
+            serial_pool.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            h = run_ensemble(e, paper_geometry, paper_field, paper_step, HSPEC,
+                             workers=1000)
+            assert [kwargs["max_workers"] for kwargs in serial_pool] == asked
+            for fd in fields(Histogram):
+                assert np.array_equal(getattr(h, fd.name), getattr(base, fd.name))
 
     def test_pool_workers_ignore_sigint(self, serial_pool, paper_geometry,
                                         paper_field, paper_step):
@@ -467,10 +487,20 @@ class TestDeterminism:
                     assert np.array_equal(got, want), (name, value)
 
     def test_steps_array_is_checked(self, paper_geometry, paper_field, paper_step):
-        for steps in (np.empty(2, dtype=np.int64), np.empty(3)):
+        """A wrong shape, a float dtype, or an int dtype too narrow for
+        max_steps is a ValueError, not an OverflowError from the fill."""
+        for geometry, steps in [
+                (paper_geometry, np.empty(2, dtype=np.int64)),
+                (paper_geometry, np.empty(3)),
+                (paper_geometry, np.empty(3, dtype=np.int16)),      # 10**6 steps
+                (replace(paper_geometry, max_steps=40_000), np.empty(3, dtype=np.uint8))]:
             with pytest.raises(ValueError, match="steps"):
-                simulate_batch(np.zeros(3), 12.0, paper_geometry, paper_field,
+                simulate_batch(np.zeros(3), 12.0, geometry, paper_field,
                                paper_step, steps=steps)
+        steps = np.empty(3, dtype=np.uint16)                        # holds 40,000
+        simulate_batch(np.zeros(3), 12.0, replace(paper_geometry, max_steps=40_000),
+                       paper_field, paper_step, steps=steps)
+        assert (steps < 40_000).all()
 
     @pytest.mark.parametrize("tau", [0.05, 0.01, 0.001])
     @pytest.mark.parametrize("v0", [12.0, 15.0])
