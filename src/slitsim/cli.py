@@ -17,8 +17,10 @@ byte-identical regardless of worker count.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
+import typing
 from concurrent.futures import BrokenExecutor
 from dataclasses import fields, replace
 from pathlib import Path
@@ -41,7 +43,7 @@ from .config import (
 )
 from .ensemble import Histogram, HistogramSpec, emission_angles, normalize, run_ensemble
 from .errors import ConfigurationError
-from .scattering import run_discrete_trajectory
+from .scattering import Outcome, run_discrete_trajectory
 from .svg import render_trajectories, sketch
 
 _DIST_HEADER = "bin_center,count,frequency"
@@ -104,11 +106,10 @@ def cmd_sweep_tau(cfg: ExperimentConfig) -> Path:
     _write_text(out / "sweep_report.csv", "\n".join(sweep_lines) + "\n")
 
     tv_lines = ["tau_a,tau_b,total_variation"]
-    for i, (ta, fa) in enumerate(profiles):
-        for tb, fb in profiles[i + 1:]:
-            tv = total_variation(fa, fb)
-            tv_lines.append(f"{ta!r},{tb!r},{tv:.17g}")
-            body.append(f"tv(tau={ta!r}, tau={tb!r}) = {tv:.6g}")
+    for (ta, fa), (tb, fb) in itertools.combinations(profiles, 2):
+        tv = total_variation(fa, fb)
+        tv_lines.append(f"{ta!r},{tb!r},{tv:.17g}")
+        body.append(f"tv(tau={ta!r}, tau={tb!r}) = {tv:.6g}")
     _write_text(out / "tv_report.csv", "\n".join(tv_lines) + "\n")
     _write_report(cfg, body, t0)
     return out
@@ -139,10 +140,10 @@ def cmd_trace(cfg: ExperimentConfig) -> Path:
             del rec
     _write_text(out / "trajectories.svg", render_trajectories(sketches, geom))
 
-    outcomes = [type(sk.outcome).__name__ for sk in sketches]
+    outcomes = [type(sk.outcome) for sk in sketches]
     body = [f"trajectories = {cfg.n}"]
-    for name in ("Blocked", "Detected", "Escaped", "StepLimit"):
-        body.append(f"{name.lower()} = {outcomes.count(name)}")
+    for kind in typing.get_args(Outcome):
+        body.append(f"{kind.__name__.lower()} = {outcomes.count(kind)}")
     _write_report(cfg, body, t0)
     return out
 

@@ -77,6 +77,11 @@ class ExperimentConfig:
             spec = build_histogram_spec(self)
             if self.workers < 1:
                 raise ValueError("workers must be >= 1")
+            # report.txt echoes it as a config line, which must parse back to it
+            out = self.output_dir
+            if "#" in out or out != out.strip() or len(out.splitlines()) > 1:
+                raise ValueError(f"output_dir {out!r} must hold no '#' or line break "
+                                 "and must not begin or end with whitespace")
             # window and k_sigma: the analysis's own checks, on an empty profile
             find_extrema(np.zeros(spec.n_bins), spec.bin_centers(), 0,
                          window=self.window, k_sigma=self.k_sigma)

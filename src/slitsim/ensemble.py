@@ -11,25 +11,10 @@ mechanisms guarantee this:
     decide *where* a chunk is computed, and the integer merge of chunk
     histograms is order-independent.
 
-The hot loop advances whole chunks as numpy arrays and retires finished
-trajectories in batched passes, down to the last survivor: a running
-lane from the end of the arrays moves into each finished lane's place.
-A lane's state is its position and its displacement per step u = tau * v
-(see `dynamics`).  Event detection has two stages: a cheap test on every
-lane flags a superset of the lanes that can end in this step (the step
-touches or crosses x = 0, reaches the detector plane, or leaves the
-escape bounds), and each flagged lane's segment joins a bounded pending
-buffer.  The exact crossing rule runs on the buffer at one place: when
-it fills, and on a due step (every few steps, the last, or one in which
-it filled) once all of the step's lanes are in.  The finished lanes are
-retired after it; a finished lane may step on until then, but its
-first end stands.  Both stages are elementwise: a lane's flag depends on
-its own values only, and the exact rule applies the same float
-operations to a buffered segment as to any other.  So a trajectory's
-result does not depend on which batch it was simulated in, how large
-that batch was, which other lanes were flagged beside it, which pass it
-was found in, how often finished lanes are retired, or where in the
-arrays it sat.
+The stepping kernel (`simulate_batch`) is elementwise over lanes, so a
+trajectory's result does not depend on which batch it ran in, where in
+the arrays it sat, which other lanes were flagged beside it, or when
+finished lanes were retired.
 """
 
 from __future__ import annotations
@@ -378,21 +363,20 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
                 pending = 0
                 # the pass's temporaries would live into the next step's force
                 del lam, y0, yd, crosses, det, blocked, esc, lanes, k, pk
-            if due:
-                gone = np.concatenate(ended) if ended else ()
-                if len(gone):
-                    # Swap-out: running lanes from places r and up fill the
-                    # holes finished lanes leave below r, the new running count.
-                    r = m - gone.size
-                    low = gone < r
-                    holes = gone[low]
-                    keep = np.ones(gone.size, dtype=bool)   # places r and up
-                    keep[gone[~low] - r] = False
-                    movers = r + np.flatnonzero(keep)
-                    for row in (x1, y1, *U):            # row by row, as the gather
-                        row[holes] = row[movers]
-                    idx[holes] = idx[movers]
-                    idx = idx[:r]
+            if ended:                               # a pass ran this step
+                # Swap-out: running lanes from places r and up fill the
+                # holes finished lanes leave below r, the new running count.
+                gone = np.concatenate(ended)
+                r = m - gone.size
+                low = gone < r
+                holes = gone[low]
+                keep = np.ones(gone.size, dtype=bool)   # places r and up
+                keep[gone[~low] - r] = False
+                movers = r + np.flatnonzero(keep)
+                for row in (x1, y1, *U):                # row by row, as the gather
+                    row[holes] = row[movers]
+                idx[holes] = idx[movers]
+                idx = idx[:r]
             p, p1, P, P1 = p1, p, P1, P
             x, y, x1, y1 = x1, y1, x, y
 
@@ -431,11 +415,11 @@ def run_ensemble(e: EmissionSpec, g: Geometry, f: FieldParams, sp: StepParams,
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    workers = min(workers, os.cpu_count() or 1)
     chunks = [(e, g, f, sp, h, lo, min(lo + CHUNK_SIZE, e.n))
               for lo in range(0, e.n, CHUNK_SIZE)]
+    workers = min(workers, os.cpu_count() or 1, len(chunks))
     total = Histogram.zero(h)
-    if workers == 1 or len(chunks) == 1:
+    if workers == 1:
         for chunk in chunks:
             total = merge(total, _simulate_chunk(chunk))
     else:
@@ -444,8 +428,7 @@ def run_ensemble(e: EmissionSpec, g: Geometry, f: FieldParams, sp: StepParams,
 
         others = set(multiprocessing.active_children())
         # Workers ignore SIGINT, so Ctrl-C interrupts only this process.
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
-                                 initializer=signal.signal,
+        with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
                                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
             try:
                 pending = [pool.submit(_simulate_chunk, c) for c in chunks]

@@ -138,10 +138,25 @@ class TestConfigParsing:
         assert not out.exists()
 
     def test_echo_parses_back_to_the_same_config(self, tmp_path):
-        cfg = ExperimentConfig(tau_list=(0.001000001, 0.001, 1e-05))
+        cfg = ExperimentConfig(tau_list=(0.001000001, 0.001, 1e-05),
+                               output_dir="out/a b=c")
         path = tmp_path / "echo.cfg"
         path.write_text(config_echo(cfg) + "\n")
         assert parse_config(path) == cfg
+
+    @pytest.mark.parametrize("output_dir", ["out/run#1", " out/pad ", "out/a\nb"],
+                             ids=["hash", "padded", "newline"])
+    def test_output_dir_that_cannot_be_echoed_is_rejected(self, output_dir):
+        """report.txt echoes output_dir as a config line: a '#' would start
+        a comment, padding would be stripped and a line break would split it."""
+        with pytest.raises(ConfigurationError, match="output_dir"):
+            ExperimentConfig(output_dir=output_dir)
+
+    def test_output_dir_with_a_hash_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "run#1"
+        assert main(["simulate", "--n", "10", "--out", str(out)]) == 2
+        assert "output_dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_component_builders_convert_degrees(self):
         cfg = ExperimentConfig()

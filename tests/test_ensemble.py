@@ -195,20 +195,22 @@ class TestHistogramAccounting:
 
 
 class TestDeterminism:
-    def test_worker_count_invariance(self, paper_geometry, paper_field, paper_step):
-        """Bit-identical histograms for 1, 4 and 8 workers."""
+    def test_worker_count_invariance(self, monkeypatch, paper_geometry, paper_field,
+                                     paper_step):
+        """Bit-identical histograms for 1, 2 and 3 worker processes.
+
+        40,000 lanes make 3 chunks, and the CPU count is patched to 3, so
+        neither cap lowers a count below the one asked for."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         e = EmissionSpec(v0=15.0, alpha_min=math.radians(-45.5),
                          alpha_max=math.radians(45.5), n=40_000, seed=11)
         base = run_ensemble(e, paper_geometry, paper_field, paper_step, HSPEC,
                             workers=1)
-        for workers in (4, 8):
+        for workers in (2, 3):
             h = run_ensemble(e, paper_geometry, paper_field, paper_step, HSPEC,
                              workers=workers)
-            assert np.array_equal(base.counts, h.counts)
-            assert (h.n_detected, h.n_blocked, h.n_escaped, h.n_steplimit,
-                    h.underflow, h.overflow) == (
-                base.n_detected, base.n_blocked, base.n_escaped,
-                base.n_steplimit, base.underflow, base.overflow)
+            for fd in fields(Histogram):
+                assert np.array_equal(getattr(h, fd.name), getattr(base, fd.name))
 
     @pytest.fixture
     def serial_pool(self, monkeypatch):
@@ -600,12 +602,20 @@ def detected_runs_and_folds(codes, y):
     return len(runs), folds
 
 
+def half_sweep_map(cfg):
+    """Codes, y and end steps of cfg's angle -> y map, on the cfg.n angles
+    cfg sweeps."""
+    e = build_emission(cfg)
+    steps = np.empty(e.n, dtype=np.int64)
+    codes, y = simulate_batch(emission_angles(e, 0, e.n), e.v0, build_geometry(cfg),
+                              build_field(cfg), build_step(cfg), steps=steps)
+    return codes, y, steps
+
+
 def half_sweep_folds(cfg):
     """The detected-run count and fold ys of cfg's angle -> y map, on the
     cfg.n angles cfg sweeps."""
-    e = build_emission(cfg)
-    codes, y = simulate_batch(emission_angles(e, 0, e.n), e.v0, build_geometry(cfg),
-                              build_field(cfg), build_step(cfg))
+    codes, y, _ = half_sweep_map(cfg)
     return detected_runs_and_folds(codes, y)
 
 
@@ -774,6 +784,35 @@ class TestFoldCensus:
             0.180: (2, pytest.approx([2.4312, 2.5098, 2.6584], abs=1e-3)),
             0.181: (1, pytest.approx([2.4225], abs=1e-3)),
             0.233: (2, pytest.approx([1.9714, 5.5266], abs=1e-3))}
+
+
+class TestKinkCensus:
+    def test_kinks_are_end_step_changes(self):
+        """The map's kinks, where a lane's end step changes along the sweep.
+
+        On the 50,001-angle half sweep the detected lanes form one run, and
+        along it the end step never falls and rises by 1 at each change.
+        The changes number 2, 4, 9 and 17 at tau = 0.5, 0.2, 0.1 and 0.05
+        on the attracting screen (about 0.85 / tau), and 2, 4 and 8 at
+        tau = 0.2, 0.1 and 0.05 on the +1 screen (about 0.4 / tau).  The
+        two attracting-screen kinks at tau = 0.5 lie at y = 12.43 and 21.27."""
+        counts = {}
+        for charge, taus in ((-1.0, (0.5, 0.2, 0.1, 0.05)), (1.0, (0.2, 0.1, 0.05))):
+            for tau in taus:
+                codes, y, steps = half_sweep_map(
+                    replace(HALF_SWEEP, charge_product=charge, tau=tau))
+                run = np.flatnonzero(codes == 2)
+                assert run.size and np.all(np.diff(run) == 1), (charge, tau)
+                rises = np.diff(steps[run])
+                assert set(rises.tolist()) <= {0, 1}, (charge, tau)
+                kinks = np.flatnonzero(rises)
+                counts[charge, tau] = kinks.size
+                if (charge, tau) == (-1.0, 0.5):
+                    kink_ys = (y[run][kinks] + y[run][kinks + 1]) / 2
+        assert counts == {(-1.0, 0.5): 2, (-1.0, 0.2): 4, (-1.0, 0.1): 9,
+                          (-1.0, 0.05): 17, (1.0, 0.2): 2, (1.0, 0.1): 4,
+                          (1.0, 0.05): 8}
+        assert kink_ys == pytest.approx([12.43, 21.27], abs=0.01)
 
 
 counts_arrays = st.lists(st.integers(0, 10_000), min_size=3, max_size=3)
