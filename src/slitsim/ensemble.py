@@ -234,7 +234,9 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     The finished lanes then leave the working arrays: each leaves a hole
     below r, the running count after the retire, and a running lane from
     places r and up moves into it with its index, so retiring costs time
-    in proportion to the lanes retired.  Places do not change between
+    in proportion to the lanes retired.  The running count changes only
+    in this swap-out, where the working views are cut to it, and the batch
+    stops there when it reaches 0.  Places do not change between
     retires, so the buffer can hold them.  A finished lane steps on until
     it is retired and may be flagged again, but its first end stands.
     Every operation is elementwise, so neither the reordering nor the
@@ -252,6 +254,8 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
         steps[:] = g.max_steps
     codes = np.full(n, _STEPLIMIT, dtype=np.uint8)
     y_final = np.full(n, np.nan)
+    if not n:
+        return codes, y_final
 
     d = g.screen_gap
     y_bound = g.y_bound
@@ -261,16 +265,16 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     fu = FieldParams(f.charge_product * (tau * (tau / sp.mass)), f.slit_half_height)
 
     idx = np.arange(n, dtype=np.int32)
-    p = _aligned_pair(n)                        # (x, y)
-    p1 = _aligned_pair(n)                       # (x', y')
-    u = _aligned_pair(n)
-    p[0] = -g.emitter_distance
-    p[1] = 0.0
+    P = _aligned_pair(n)                        # (x, y)
+    P1 = _aligned_pair(n)                       # (x', y')
+    U = _aligned_pair(n)
+    P[0] = -g.emitter_distance
+    P[1] = 0.0
     # (v0 cos a) tau: the runner's velocity times tau, the same bits
-    np.multiply(v0 * np.cos(alphas), tau, out=u[0])
-    np.multiply(v0 * np.sin(alphas), tau, out=u[1])
+    np.multiply(v0 * np.cos(alphas), tau, out=U[0])
+    np.multiply(v0 * np.sin(alphas), tau, out=U[1])
 
-    scratch = _aligned_pair(n)                  # once the launch temporaries are freed
+    F = _aligned_pair(n)                        # once the launch temporaries are freed
     flags = np.empty((2, n), dtype=bool)        # the superset test's rows
     block = _EXACT_BLOCK
     seg = np.empty((4, block))                  # pending (x, y, x', y')
@@ -279,18 +283,11 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
     sx, sy, sx1, sy1 = seg
     pending = 0
 
-    m = -1
     with np.errstate(invalid="ignore", divide="ignore"):
         for step in range(1, g.max_steps + 1):
-            if idx.size != m:                   # at the start and after a retire
-                m = idx.size
-                if not m:
-                    break
-                P, P1, U, F = p[:, :m], p1[:, :m], u[:, :m], scratch[:, :m]
-                x, y = P
-                x1, y1 = P1
-                s0, s1 = F
-                near, t = flags[:, :m]
+            # Rows by index: `x, y = P` iterates P, which costs 4x as much.
+            x, y, x1, y1 = P[0], P[1], P1[0], P1[1]
+            s0, s1, near, t = F[0], F[1], flags[0], flags[1]
             # The force's two temporaries live in the rows of (x', y'),
             # which are dead until the update writes them.
             force_batch(x, y, fu, out=(s0, s1, x1, y1))
@@ -367,18 +364,19 @@ def simulate_batch(alphas: np.ndarray, v0: float, g: Geometry, f: FieldParams,
                 # Swap-out: running lanes from places r and up fill the
                 # holes finished lanes leave below r, the new running count.
                 gone = np.concatenate(ended)
-                r = m - gone.size
+                r = idx.size - gone.size
                 low = gone < r
                 holes = gone[low]
                 keep = np.ones(gone.size, dtype=bool)   # places r and up
                 keep[gone[~low] - r] = False
                 movers = r + np.flatnonzero(keep)
-                for row in (x1, y1, *U):                # row by row, as the gather
+                for row in (x1, y1, *U, idx):           # row by row, as the gather
                     row[holes] = row[movers]
-                idx[holes] = idx[movers]
-                idx = idx[:r]
-            p, p1, P, P1 = p1, p, P1, P
-            x, y, x1, y1 = x1, y1, x, y
+                if not r:
+                    break
+                P, P1, U, F = P[:, :r], P1[:, :r], U[:, :r], F[:, :r]
+                flags, idx = flags[:, :r], idx[:r]
+            P, P1 = P1, P
 
     return codes, y_final
 

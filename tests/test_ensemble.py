@@ -54,6 +54,20 @@ FREE = FieldParams(charge_product=0.0, slit_half_height=5.0)
 SPLIT_LANES = 600
 
 
+@pytest.fixture
+def force_calls(monkeypatch) -> list[int]:
+    """A one-item list counting the kernel's `force_batch` calls, once per step."""
+    calls = [0]
+    force = ensemble.force_batch
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return force(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "force_batch", counted)
+    return calls
+
+
 def make_hist(counts, **tallies) -> Histogram:
     arr = np.zeros(HSPEC.n_bins, dtype=np.int64)
     arr[:len(counts)] = counts
@@ -503,6 +517,32 @@ class TestDeterminism:
         simulate_batch(np.zeros(3), 12.0, replace(paper_geometry, max_steps=40_000),
                        paper_field, paper_step, steps=steps)
         assert (steps < 40_000).all()
+
+    def test_zero_lane_batch_steps_nothing(self, force_calls, paper_geometry,
+                                           paper_field, paper_step):
+        """An empty batch returns empty arrays without stepping."""
+        steps = np.empty(0, dtype=np.int64)
+        codes, y_final = simulate_batch(np.empty(0), 15.0, paper_geometry,
+                                        paper_field, paper_step, steps=steps)
+        assert codes.size == y_final.size == 0
+        assert force_calls == [0]
+
+    @pytest.mark.parametrize("lo, hi, v0, tau, calls, last", [
+        (-44.0, 44.0, 15.0, 0.05, 128, 125),
+        (30.0, 44.0, 15.0, 0.01, 512, 501),        # every lane escapes
+        (-44.0, 44.0, 12.0, 0.05, 160, 140),       # 62 of 64 blocked
+    ])
+    def test_batch_stops_at_the_retire_after_its_last_end(
+            self, force_calls, paper_geometry, paper_field, lo, hi, v0, tau,
+            calls, last):
+        """The loop ends in the swap-out that retires the last lane, so a
+        batch steps at most _RETIRE_EVERY past its last end step."""
+        steps = np.empty(64, dtype=np.int64)
+        simulate_batch(np.radians(np.linspace(lo, hi, 64)), v0, paper_geometry,
+                       paper_field, StepParams(tau=tau, mass=1.0), steps=steps)
+        assert steps.max() == last
+        assert force_calls == [calls]
+        assert force_calls[0] <= steps.max() + ensemble._RETIRE_EVERY
 
     @pytest.mark.parametrize("tau", [0.05, 0.01, 0.001])
     @pytest.mark.parametrize("v0", [12.0, 15.0])
